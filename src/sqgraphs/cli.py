@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 
 from . import formulas, search, verify
@@ -37,7 +38,6 @@ EXIT_HARD_FAIL = 4
 @dataclass
 class RunConfig:
     command: str
-    threads: int
     budget: int
     precision: int
     cache: str | None
@@ -45,8 +45,6 @@ class RunConfig:
     fmt: str
 
     def __post_init__(self) -> None:
-        if self.threads < 1:
-            raise ValueError("--threads must be >= 1")
         if self.budget < 1:
             raise ValueError("--budget must be >= 1")
         if self.precision < 1:
@@ -76,10 +74,12 @@ def _witness_path(cfg: RunConfig, name: str) -> str:
 
 
 def _range_arg(text: str) -> list[int]:
-    """Parse '4..6' or '5' into a list of ints."""
+    """Parse '4..6' or '5' into a list of ints; an empty range is an error."""
     if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        lo, hi = (int(x) for x in text.split("..", 1))
+        if lo > hi:
+            raise ValueError(f"empty range {text!r}: {lo} > {hi}")
+        return list(range(lo, hi + 1))
     return [int(text)]
 
 
@@ -87,7 +87,11 @@ def _search_command(args, cfg: RunConfig, mode: str) -> int:
     n, s, q = args.n, args.s, args.q
     outcome = None
     if cfg.cache:
-        outcome = search.cached_outcome(cfg.cache, n, s, q, mode)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", search.CacheWarning)
+            outcome = search.cached_outcome(cfg.cache, n, s, q, mode)
+        for warning in caught:
+            print(f"warning: {warning.message}", file=sys.stderr)
     fresh = outcome is None
     if fresh:
         if mode == "count":
@@ -112,6 +116,8 @@ def _search_command(args, cfg: RunConfig, mode: str) -> int:
         "optimal": str(outcome.optimal).lower(),
         "source": outcome.stats.get("source", "search"),
     }
+    if mode != "count":
+        record["upper"] = str(outcome.stats["upper"])
     if outcome.witness is not None:
         path = _witness_path(cfg, f"{args.command}_n{n}_s{s}_q{q}.witness.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -282,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact extremal computations for locally sparse multigraphs.",
     )
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--threads", type=int, default=1, help="worker cap (execution is sequential; kept for config compatibility)")
     common.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET, help="node budget for searches and counts")
     common.add_argument("--precision", type=int, default=formulas.DEFAULT_DPS, help="decimal digits for real-valued outputs")
     common.add_argument("--cache", default=None, help="append-only result cache file")
@@ -341,7 +346,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = RunConfig(
             command=args.command,
-            threads=args.threads,
             budget=args.budget,
             precision=args.precision,
             cache=args.cache,

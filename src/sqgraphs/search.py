@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -37,13 +39,18 @@ class _BudgetHit(Exception):
     pass
 
 
+class CacheWarning(UserWarning):
+    """A result cache file held lines that could not be read as records."""
+
+
 @dataclass
 class SearchOutcome:
     """Result of one extremal computation.
 
     value is exact; witness (when present) realizes it and satisfies the
     sparsity bound.  optimal=False marks a budget-bound run whose value
-    is only a lower bound.
+    is only a lower bound; stats["upper"] then bounds the optimum from
+    above (it equals value when optimal).
     """
 
     mode: str
@@ -71,6 +78,18 @@ def _amgm(total: int, count: int) -> int:
         return 0
     base, extra = divmod(total, count)
     return base ** (count - extra) * (base + 1) ** extra
+
+
+def _iroot(x: int, k: int) -> int:
+    """Largest R >= 0 with R**k <= x, by integer bisection."""
+    lo, hi = 0, 1 << (x.bit_length() // k + 1)
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**k <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
 
 
 @lru_cache(maxsize=None)
@@ -159,6 +178,22 @@ def _run_search(
     sym = _sym_tables(n)
     stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
 
+    # Averaging bound (Katona).  Every pair lies in exactly per_pair =
+    # C(n-2, s-2) s-sets, so adding up any per-s-set quantity over all
+    # s-sets counts each unassigned pair per_pair times.
+    # Sum: the weight still to assign is at most sum(rem) // per_pair, and
+    # acc + sum(rem) / per_pair is q*S / per_pair on every path, so one
+    # constant `upper` serves every node.
+    # Product: each s-set's unassigned weights multiply to at most
+    # _amgm(rem[X], m[X]), so the product R still to assign satisfies
+    # R**per_pair <= cap = prod_X _amgm(rem[X], m[X]).  A child changes only
+    # the factors of cover[k], so dfs carries cap and rescales it exactly.
+    # acc * R > inc_val needs R >= inc_val // acc + 1, so a node with
+    # (inc_val // acc + 1)**per_pair > cap cannot improve on the incumbent.
+    per_pair = len(cover[0])
+    cap = _amgm(q, spairs) ** S
+    upper = _iroot(cap, per_pair) if product else q * S // per_pair
+
     def ub_of(e: int) -> int:
         best = None
         for X in cover[e]:
@@ -167,7 +202,12 @@ def _run_search(
                 best = cand
         return best
 
-    def prune_by_bound(k: int, acc: int) -> bool:
+    def prune_by_bound(k: int, acc: int, cap: int) -> bool:
+        if product:
+            if acc == 0 or (inc_val // acc + 1) ** per_pair > cap:
+                return True
+        elif upper <= inc_val:
+            return True
         ubs = []
         for e in range(k, P):
             u = ub_of(e)
@@ -219,17 +259,20 @@ def _run_search(
                     break
         return True
 
-    def dfs(k: int, acc: int) -> None:
+    def dfs(k: int, acc: int, cap: int) -> None:
         nonlocal inc_val, inc_wit
         if k == P:
             if acc > inc_val:
                 inc_val = acc
                 inc_wit = Multigraph(n, W)
             return
-        if prune_by_bound(k, acc):
+        if prune_by_bound(k, acc, cap):
             stats["bound_prunes"] += 1
             return
         hi = ub_of(k)
+        if product:
+            # nonzero: a zero factor makes cap 0, which prune_by_bound prunes
+            old = prod(_amgm(rem[X], m[X]) for X in cover[k])
         for w in range(hi, wlo - 1, -1):
             stats["nodes"] += 1
             if stats["nodes"] > node_budget:
@@ -238,17 +281,20 @@ def _run_search(
             for X in cover[k]:
                 rem[X] -= w
                 m[X] -= 1
-            if sym_ok(k):
-                dfs(k + 1, acc * w if product else acc + w)
-            else:
+            if not sym_ok(k):
                 stats["symmetry_prunes"] += 1
+            elif product:
+                new = prod(_amgm(rem[X], m[X]) for X in cover[k])
+                dfs(k + 1, acc * w, cap // old * new)
+            else:
+                dfs(k + 1, acc + w, cap)
             for X in cover[k]:
                 rem[X] += w
                 m[X] += 1
 
     optimal = True
     try:
-        dfs(0, 1 if product else 0)
+        dfs(0, 1 if product else 0, cap)
     except _BudgetHit:
         optimal = False
 
@@ -258,6 +304,7 @@ def _run_search(
     if _graph_value(inc_wit, mode) != inc_val:
         raise RuntimeError("engine value does not match its witness")
 
+    stats["upper"] = inc_val if optimal else upper
     stats["wall_time"] = time.perf_counter() - t0
     stats["seeds"] = len(seeds)
     stats["source"] = "search"
@@ -501,8 +548,14 @@ def append_cache(path: str, record: dict) -> None:
 
 
 def load_cache(path: str) -> dict[tuple, dict]:
-    """Latest record per key, keeping only this engine version."""
+    """Latest record per key, keeping only this engine version.
+
+    The file is untrusted input: a line that is not JSON or lacks the key
+    fields (a torn last write, a hand edit) is skipped, and one
+    CacheWarning reports how many were.
+    """
     out: dict[tuple, dict] = {}
+    skipped = 0
     try:
         fh = open(path, "r", encoding="utf-8")
     except FileNotFoundError:
@@ -512,20 +565,45 @@ def load_cache(path: str) -> dict[tuple, dict]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            if rec.get("engine_version") != ENGINE_VERSION:
-                continue
-            key = rec["key"]
-            out[(key["n"], key["s"], key["q"], key["mode"])] = rec
+            try:
+                rec = json.loads(line)
+                if rec.get("engine_version") != ENGINE_VERSION:
+                    continue
+                key = rec["key"]
+                out[(key["n"], key["s"], key["q"], key["mode"])] = rec
+            except (ValueError, KeyError, TypeError, AttributeError):
+                skipped += 1
+    if skipped:
+        warnings.warn(
+            f"skipped {skipped} malformed line(s) in cache {path}", CacheWarning, stacklevel=2
+        )
     return out
 
 
 def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcome | None:
-    """Reload an optimal cached outcome, or None if absent or non-optimal."""
+    """Reload an optimal cached outcome, or None if absent, non-optimal or unsound.
+
+    A sum or product record is served only when its witness is an
+    (s,q)-graph on n vertices with exactly the stored value; anything
+    else is a miss, so the caller searches again.  Count records carry
+    no witness and are served as stored.
+    """
     rec = load_cache(path).get((n, s, q, mode))
     if rec is None or not rec.get("optimal"):
         return None
-    witness = Multigraph.from_dict(rec["witness"]) if rec.get("witness") else None
-    stats = dict(rec.get("stats", {}))
+    try:
+        value = int(rec["value"])
+        witness = Multigraph.from_dict(rec["witness"]) if rec.get("witness") else None
+        stats = dict(rec.get("stats", {}))
+    except (KeyError, TypeError, ValueError):
+        return None
+    if mode != "count" and (
+        witness is None
+        or witness.n != n
+        or witness.find_violation(s, q) is not None
+        or _graph_value(witness, mode) != value
+    ):
+        return None
     stats["source"] = "cache"
-    return SearchOutcome(mode, int(rec["value"]), witness, True, stats)
+    stats["upper"] = value
+    return SearchOutcome(mode, value, witness, True, stats)

@@ -53,11 +53,28 @@ class TestSearchCommands:
         assert code == EXIT_USAGE
 
     def test_budget_bound_exit(self, capsys, tmp_path):
+        # (6,4,15) needs 2,149 nodes with the averaging bound, so 40 stops it
         code, out, _ = run(
             capsys, "expi", "6", "4", "15", "--budget", "40", "--out", str(tmp_path)
         )
         assert code == EXIT_BUDGET
         assert record_fields(out)["optimal"] == "false"
+
+    def test_budget_bound_reports_upper(self, capsys, tmp_path):
+        code, out, _ = run(
+            capsys, "exsum", "7", "4", "15", "--budget", "1000", "--out", str(tmp_path)
+        )
+        assert code == EXIT_BUDGET
+        rec = record_fields(out)
+        assert rec["optimal"] == "false"
+        assert rec["upper"] == "52"
+        assert int(rec["value"]) <= 52
+
+    def test_threads_flag_removed(self, capsys, tmp_path):
+        code, _, _ = run(
+            capsys, "expi", "4", "4", "15", "--threads", "2", "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
 
     def test_cache_short_circuit(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
@@ -71,9 +88,38 @@ class TestSearchCommands:
         assert code == EXIT_OK
         f1, f2 = record_fields(first), record_fields(second)
         assert f1["source"] == "search" and f2["source"] == "cache"
-        assert f1["value"] == f2["value"]
+        assert f1["value"] == f2["value"] == f1["upper"] == f2["upper"]
         # one record only: the cached rerun does not append
         assert len(open(cache).read().splitlines()) == 1
+
+    def test_cache_torn_last_line_warns(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        run(capsys, *argv)
+        with open(cache, "a") as fh:
+            fh.write('{"engine_version":"1","key":{"mode":"prod')
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert record_fields(out)["source"] == "cache"
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 1 and "skipped 1 malformed" in warnings[0]
+
+    def test_cache_edited_value_is_searched_again(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        run(capsys, *argv)
+        rec = json.loads(open(cache).read())
+        rec["value"] = "99999999"
+        with open(cache, "w") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert fields["source"] == "search" and fields["value"] == "216"
+        # the fresh record is appended and wins over the edited one
+        assert len(open(cache).read().splitlines()) == 2
+        code, out, _ = run(capsys, *argv)
+        assert record_fields(out)["source"] == "cache"
 
     def test_csv_format(self, capsys, tmp_path):
         code, out, _ = run(
@@ -167,6 +213,21 @@ class TestVerifyCommand:
 
         assert code == EXIT_HARD_FAIL
         assert "check=transform_preserves_clones" in out
+
+
+class TestRangeArguments:
+    def test_empty_formulas_range(self, capsys, tmp_path):
+        code, out, err = run(capsys, "formulas", "--a", "4..2", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "empty range" in err
+
+    def test_empty_verify_range(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "verify", "counting", "--n", "6..4", "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert "empty range" in err
 
 
 class TestFormulasCommand:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 from itertools import permutations
 
@@ -58,6 +59,26 @@ class TestPinnedInstances:
         out = S.max_product_search(4, 3, 2)  # q < C(3,2) forces a zero pair
         assert out.value == 0
         assert out.optimal
+
+
+class TestAveragingBound:
+    def test_sum_closes_at_the_root(self):
+        # floor(15 * C(6,4) / C(4,2)) = 37 is met by a seed construction
+        out = S.max_sum_search(6, 4, 15)
+        assert (out.value, out.optimal, out.stats["nodes"]) == (37, True, 0)
+        assert out.stats["upper"] == 37
+
+    def test_product_seven_vertices_node_count(self):
+        out = S.max_product_search(7, 4, 15)
+        assert out.value == 60466176
+        assert out.optimal
+        assert out.stats["nodes"] <= 21_053
+
+    def test_integer_root(self):
+        for k in (1, 2, 3, 15):
+            for x in list(range(300)) + [216 ** 70, 216 ** 70 - 1]:
+                r = S._iroot(x, k)
+                assert r ** k <= x < (r + 1) ** k
 
 
 class TestCounting:
@@ -159,12 +180,14 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
+        # (6,4,15) needs 2,149 nodes with the averaging bound, so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)
         full = S.max_product_search(6, 4, 15)
         assert full.optimal
-        assert out.value <= full.value
+        assert full.stats["upper"] == full.value
+        assert out.value <= full.value <= out.stats["upper"]
 
     def test_deterministic(self):
         a = S.max_product_search(5, 4, 15)
@@ -215,6 +238,42 @@ class TestCache:
         assert not out.optimal
         S.append_cache(path, S.cache_record(6, 4, 15, out))
         assert S.cached_outcome(path, 6, 4, 15, "product") is None
+
+    def test_torn_last_line_is_skipped(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        line = json.dumps(S.cache_record(3, 2, 5, S.max_sum_search(3, 2, 5)))
+        with open(path, "a") as fh:
+            fh.write(line[: len(line) // 2])
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 4, "sum").value == out.value
+        with pytest.warns(S.CacheWarning):
+            assert S.cached_outcome(path, 3, 2, 5, "sum") is None
+
+    def test_record_without_key_fields_is_skipped(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(3, 2, 4, S.max_sum_search(3, 2, 4))
+        del rec["key"]["q"]
+        S.append_cache(path, rec)
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.load_cache(path) == {}
+
+    def test_edited_value_is_a_miss(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(4, 4, 15, S.max_product_search(4, 4, 15))
+        rec["value"] = "99999999"
+        S.append_cache(path, rec)
+        assert S.cached_outcome(path, 4, 4, 15, "product") is None
+
+    def test_infeasible_witness_is_a_miss(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(3, 2, 4, S.max_sum_search(3, 2, 4))
+        heavy = Multigraph.constant(3, 5)
+        rec["witness"] = heavy.to_dict()
+        rec["value"] = str(heavy.edge_sum())
+        S.append_cache(path, rec)
+        assert S.cached_outcome(path, 3, 2, 4, "sum") is None
 
     def test_latest_record_wins(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

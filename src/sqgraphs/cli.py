@@ -86,10 +86,12 @@ def _range_arg(text: str) -> list[int]:
 def _search_command(args, cfg: RunConfig, mode: str) -> int:
     n, s, q = args.n, args.s, args.q
     outcome = None
-    if cfg.cache:
+    # a count has no witness to re-check, so it bypasses the cache
+    cache = cfg.cache if mode != "count" else None
+    if cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", search.CacheWarning)
-            outcome = search.cached_outcome(cfg.cache, n, s, q, mode)
+            outcome = search.cached_outcome(cache, n, s, q, mode)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     fresh = outcome is None
@@ -124,8 +126,8 @@ def _search_command(args, cfg: RunConfig, mode: str) -> int:
             fh.write(outcome.witness.dumps() + "\n")
         record["witness"] = path
     _emit(record, cfg, [False])
-    if cfg.cache and fresh:
-        search.append_cache(cfg.cache, search.cache_record(n, s, q, outcome))
+    if cache and fresh:
+        search.append_cache(cache, search.cache_record(n, s, q, outcome))
     return EXIT_OK if outcome.optimal else EXIT_BUDGET
 
 
@@ -338,6 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # print exact values in full; process-wide, so callers can parse them back
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Sequence
 
 from .multigraph import Multigraph, Params, pair_rank
 
@@ -39,35 +39,6 @@ def check_sizes(params: Params, sizes: Sequence[int]) -> tuple[int, ...]:
     if any((not isinstance(v, int)) or v < 0 for v in sz):
         raise ValueError(f"part sizes must be nonnegative integers: {sz}")
     return sz
-
-
-def compositions(params: Params, n: int) -> Iterator[tuple[int, ...]]:
-    """Canonical part-size compositions of n: light part free, tail nonincreasing.
-
-    Parts 1..r-1 are interchangeable, so restricting the tail to
-    nonincreasing order cuts the enumeration by the (r-1)! symmetry.
-    Zero part sizes are allowed (the member degenerates to fewer parts).
-    """
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
-    r = params.r
-    if r == 1:
-        yield (n,)
-        return
-
-    def tails(total: int, slots: int, cap: int) -> Iterator[tuple[int, ...]]:
-        if slots == 1:
-            if total <= cap:
-                yield (total,)
-            return
-        lo = -(-total // slots)  # smallest feasible leading value
-        for head in range(min(cap, total), lo - 1, -1):
-            for rest in tails(total - head, slots - 1, head):
-                yield (head,) + rest
-
-    for v0 in range(n + 1):
-        for tail in tails(n - v0, r - 1, n - v0):
-            yield (v0,) + tail
 
 
 def _pair_counts(params: Params, sizes: Sequence[int]) -> tuple[int, int, int]:
@@ -119,49 +90,40 @@ def turan_multigraph(params: Params, sizes: Sequence[int]) -> Multigraph:
     return Multigraph(n, weights)
 
 
+def _optimize(params: Params, n: int, value: Callable[..., int]) -> OptResult:
+    """Exact maximum of value(params, sizes) over canonical compositions of n."""
+    if n < 0:
+        raise ValueError(f"n must be >= 0, got {n}")
+    # No tail that is not balanced can be optimal.  Take tail parts of sizes
+    # x and y <= x-2 and move one vertex from the first to the second: that
+    # turns x-1-y >= 1 weight-a pairs into weight-(a+1) pairs and changes no
+    # other pair.  Every weight is >= 1 (a-d >= 1), so both the edge sum and
+    # the edge product strictly increase.  In canonical (nonincreasing) order
+    # the balanced tail is unique, so scanning the light-part size v0 = 0..n
+    # over balanced tails finds the whole argmax set in n+1 exact
+    # evaluations, already in lexicographic order.
+    tail = params.r - 1
+    if tail == 0:
+        candidates = [(n,)]
+    else:
+        candidates = []
+        for v0 in range(n + 1):
+            base, extra = divmod(n - v0, tail)
+            candidates.append((v0,) + (base + 1,) * extra + (base,) * (tail - extra))
+    values = [value(params, comp) for comp in candidates]
+    best = max(values)
+    arg = tuple(comp for comp, val in zip(candidates, values) if val == best)
+    return OptResult(best, arg[0], arg)
+
+
 def max_edge_sum(params: Params, n: int) -> OptResult:
     """Exact maximum edge sum over all compositions, with the argmax set."""
-    best = None
-    arg: list[tuple[int, ...]] = []
-    for comp in compositions(params, n):
-        val = construction_sum(params, comp)
-        if best is None or val > best:
-            best, arg = val, [comp]
-        elif val == best:
-            arg.append(comp)
-    arg.sort()
-    return OptResult(best, arg[0], tuple(arg))
+    return _optimize(params, n, construction_sum)
 
 
 def max_edge_product(params: Params, n: int) -> OptResult:
-    """Exact maximum edge product over all compositions.
-
-    Comparisons are exact.  For large n a float log-score prefilter drops
-    compositions that are clearly dominated (margin far above the float
-    error) and only the surviving candidates are compared as integers.
-    """
-    comps = list(compositions(params, n))
-    a, d = params.a, params.d
-    finalists = comps
-    if n > 60:
-        scores = []
-        log_ad, log_a, log_a1 = math.log(a - d), math.log(a), math.log(a + 1)
-        for comp in comps:
-            light, middle, cross = _pair_counts(params, comp)
-            scores.append((log_ad * light + log_a * middle + log_a1 * cross, comp))
-        top = max(s for s, _ in scores)
-        # 1e-6 log-margin dwarfs accumulated float error at these sizes
-        finalists = [comp for s, comp in scores if s >= top - 1e-6]
-    best = None
-    arg: list[tuple[int, ...]] = []
-    for comp in finalists:
-        val = construction_product(params, comp)
-        if best is None or val > best:
-            best, arg = val, [comp]
-        elif val == best:
-            arg.append(comp)
-    arg.sort()
-    return OptResult(best, arg[0], tuple(arg))
+    """Exact maximum edge product over all compositions, with the argmax set."""
+    return _optimize(params, n, construction_product)
 
 
 def optimum_to_dict(params: Params, n: int, opt: OptResult) -> dict:

@@ -90,22 +90,19 @@ def product_density_limit(a: int, r: int, dps: int = DEFAULT_DPS) -> BigReal:
     """Limit of the maximal geometric mean of weights for the resolved family.
 
     For grade s = 2r and bound a*C(2r,2) + turan(2r, r+1) - 1 the limit is
-    a^((1-x)/(r-1)) * (a+1)^((r-2+x)/(r-1)) with x the light-part fraction
-    at deficiency 1.  Strictly between a and a+1.
+    the construction density limit at deficiency 1.  Strictly between a
+    and a+1.
     """
     if a < 2 or r < 2:
         raise ValueError(f"need a, r >= 2, got a={a}, r={r}")
-    with mp.workdps(dps):
-        x = light_part_fraction(Params(a, r, 1), dps).value
-        val = mp.power(a, (1 - x) / (r - 1)) * mp.power(a + 1, (r - 2 + x) / (r - 1))
-    return BigReal(val, dps)
+    return construction_density_limit(Params(a, r, 1), dps)
 
 
 def construction_density_limit(params: Params, dps: int = DEFAULT_DPS) -> BigReal:
     """Limit of the construction family's maximal geometric mean of weights.
 
-    Same shape as product_density_limit but at arbitrary deficiency,
-    using the light-part fraction for (a, r, d).
+    a^((1-x)/(r-1)) * (a+1)^((r-2+x)/(r-1)) with x the light-part
+    fraction for (a, r, d).
     """
     a, r = params.a, params.r
     if r < 2:

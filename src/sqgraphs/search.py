@@ -115,6 +115,20 @@ def _sym_tables(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def _layout(n: int, s: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """(sset_pairs, cover): pair ranks inside each s-set, s-sets on each pair."""
+    sset_pairs = tuple(
+        tuple(sorted(pair_rank(u, v) for u, v in combinations(X, 2)))
+        for X in combinations(range(n), s)
+    )
+    cover: list[list[int]] = [[] for _ in range(n * (n - 1) // 2)]
+    for xid, prs in enumerate(sset_pairs):
+        for e in prs:
+            cover[e].append(xid)
+    return sset_pairs, tuple(map(tuple, cover))
+
+
 def _seed_witnesses(n: int, s: int, q: int, mode: str) -> list[Multigraph]:
     """Feasible starting incumbents: constant graph plus construction optima.
 
@@ -158,15 +172,8 @@ def _run_search(
     product = mode == "product"
     wlo = 1 if (product and q >= spairs) else 0
 
-    ssets = list(combinations(range(n), s))
-    S = len(ssets)
-    sset_pairs = [
-        tuple(sorted(pair_rank(u, v) for u, v in combinations(X, 2))) for X in ssets
-    ]
-    cover: list[list[int]] = [[] for _ in range(P)]
-    for xid, prs in enumerate(sset_pairs):
-        for e in prs:
-            cover[e].append(xid)
+    sset_pairs, cover = _layout(n, s)
+    S = len(sset_pairs)
 
     seeds = _seed_witnesses(n, s, q, mode)
     inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
@@ -335,15 +342,8 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     _validate(n, s, q)
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
-    ssets = list(combinations(range(n), s))
-    S = len(ssets)
-    sset_pairs = [
-        tuple(sorted(pair_rank(u, v) for u, v in combinations(X, 2))) for X in ssets
-    ]
-    cover: list[list[int]] = [[] for _ in range(P)]
-    for xid, prs in enumerate(sset_pairs):
-        for e in prs:
-            cover[e].append(xid)
+    sset_pairs, cover = _layout(n, s)
+    S = len(sset_pairs)
 
     rem = [q] * S
     m = [spairs] * S
@@ -397,6 +397,9 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
 _CHUNK = 1 << 18
 
 
+# room for every cap 0..q of a q-inner sweep (criterion 1 uses 0..15), so
+# the sweep for the next s reuses the tables instead of rebuilding them
+@lru_cache(maxsize=32)
 def _bf_table(n: int, cap: int, budget: int) -> dict[int, dict]:
     """Exhaustive per-(n, cap) enumeration, aggregated by max s-set sum.
 
@@ -455,11 +458,6 @@ def _bf_table(n: int, cap: int, budget: int) -> dict[int, dict]:
     return {"tables": tables, "total": total, "shift": shift, "radix": radix, "P": P}
 
 
-@lru_cache(maxsize=8)
-def _bf_table_cached(n: int, cap: int, budget: int) -> dict:
-    return _bf_table(n, cap, budget)
-
-
 def _decode_assignment(n: int, idx: int, radix: int) -> Multigraph:
     P = n * (n - 1) // 2
     weights = []
@@ -492,7 +490,7 @@ def brute_force(
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
 
-    data = _bf_table_cached(n, weight_cap, budget)
+    data = _bf_table(n, weight_cap, budget)
     tab = data["tables"][s]
     hi = min(q, len(tab["count"]) - 1)
     stats = {
@@ -585,21 +583,19 @@ def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcom
 
     A sum or product record is served only when its witness is an
     (s,q)-graph on n vertices with exactly the stored value; anything
-    else is a miss, so the caller searches again.  Count records carry
-    no witness and are served as stored.
+    else is a miss, so the caller searches again.
     """
     rec = load_cache(path).get((n, s, q, mode))
     if rec is None or not rec.get("optimal"):
         return None
     try:
         value = int(rec["value"])
-        witness = Multigraph.from_dict(rec["witness"]) if rec.get("witness") else None
+        witness = Multigraph.from_dict(rec["witness"])
         stats = dict(rec.get("stats", {}))
     except (KeyError, TypeError, ValueError):
         return None
-    if mode != "count" and (
-        witness is None
-        or witness.n != n
+    if (
+        witness.n != n
         or witness.find_violation(s, q) is not None
         or _graph_value(witness, mode) != value
     ):

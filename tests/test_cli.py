@@ -6,7 +6,9 @@ import json
 import os
 
 from sqgraphs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
-from sqgraphs.multigraph import Multigraph
+from sqgraphs.constructions import construction_product
+from sqgraphs.multigraph import Multigraph, Params
+from sqgraphs.search import SearchOutcome, append_cache, cache_record
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -121,6 +123,20 @@ class TestSearchCommands:
         code, out, _ = run(capsys, *argv)
         assert record_fields(out)["source"] == "cache"
 
+    def test_count_ignores_cache(self, capsys, tmp_path):
+        # a count record has no witness to re-check, so an edited one must
+        # not be served, and counts add no records
+        cache = str(tmp_path / "cache.jsonl")
+        edited = SearchOutcome("count", 85, None, True, {"source": "search"})
+        append_cache(cache, cache_record(4, 4, 3, edited))
+        code, out, _ = run(
+            capsys, "count", "4", "4", "3", "--cache", cache, "--out", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert fields["value"] == "84" and fields["source"] == "search"
+        assert len(open(cache).read().splitlines()) == 1
+
     def test_csv_format(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "count", "4", "2", "2", "--format", "csv", "--out", str(tmp_path)
@@ -158,6 +174,15 @@ class TestConstructCommand:
         prods = record_fields(out.strip().splitlines()[1])
         witness = Multigraph.loads(open(prods["witness"]).read())
         assert witness == Multigraph.constant(4, 3)
+
+    def test_product_beyond_int_str_limit(self, capsys, tmp_path):
+        # the product has more than 4300 digits, past Python's default limit
+        code, out, _ = run(capsys, "construct", "2", "3", "1", "150", "--out", str(tmp_path))
+        assert code == EXIT_OK
+        prods = record_fields(out.strip().splitlines()[1])
+        assert prods["kind"] == "product"
+        sizes = [int(v) for v in prods["argmax"].split("/")]
+        assert int(prods["value"]) == construction_product(Params(2, 3, 1), sizes)
 
 
 class TestIterateCommand:

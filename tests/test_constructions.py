@@ -22,6 +22,30 @@ def ordered_compositions(n: int, r: int):
             yield (head,) + rest
 
 
+def unreduced_optimum(value, params: Params, n: int):
+    """Maximum and canonical argmax set from every ordered composition.
+
+    Each optimal tail is sorted nonincreasing and duplicates are removed,
+    so the set is comparable with OptResult.all_argmax.
+    """
+    scored = {
+        sizes: value(params, sizes) for sizes in ordered_compositions(n, params.r)
+    }
+    best = max(scored.values())
+    argmax = sorted({
+        (sizes[0],) + tuple(sorted(sizes[1:], reverse=True))
+        for sizes, val in scored.items()
+        if val == best
+    })
+    return best, tuple(argmax)
+
+
+UNREDUCED_PARAMS = (
+    Params(2, 2, 1), Params(3, 2, 2), Params(2, 3, 1),
+    Params(3, 1, 1), Params(2, 4, 1), Params(1, 3, 0),
+)
+
+
 def graph_from_sizes(params: Params, sizes) -> Multigraph:
     """Second, direct builder: assign weights from explicit part labels."""
     part_of = []
@@ -74,13 +98,12 @@ class TestMaxEdgeSum:
         assert set(opt.all_argmax) == {(1, 3), (2, 2)}
 
     def test_agrees_with_unreduced_enumeration(self):
-        for params in (Params(2, 2, 1), Params(3, 2, 2), Params(2, 3, 1)):
+        for params in UNREDUCED_PARAMS:
             for n in range(0, 9):
-                expect = max(
-                    C.construction_sum(params, sizes)
-                    for sizes in ordered_compositions(n, params.r)
-                )
-                assert C.max_edge_sum(params, n).value == expect
+                value, argmax = unreduced_optimum(C.construction_sum, params, n)
+                opt = C.max_edge_sum(params, n)
+                assert (opt.value, opt.all_argmax) == (value, argmax)
+                assert opt.argmax == argmax[0]
 
     def test_sum_is_graph_sum(self):
         for params in (Params(2, 2, 1), Params(3, 3, 1)):
@@ -122,13 +145,12 @@ class TestMaxEdgeProduct:
         assert values == {(0, 4): 64, (1, 3): 216, (2, 2): 162}
 
     def test_agrees_with_unreduced_enumeration(self):
-        for params in (Params(2, 2, 1), Params(3, 2, 2), Params(2, 3, 1)):
+        for params in UNREDUCED_PARAMS:
             for n in range(0, 9):
-                expect = max(
-                    C.construction_product(params, sizes)
-                    for sizes in ordered_compositions(n, params.r)
-                )
-                assert C.max_edge_product(params, n).value == expect
+                value, argmax = unreduced_optimum(C.construction_product, params, n)
+                opt = C.max_edge_product(params, n)
+                assert (opt.value, opt.all_argmax) == (value, argmax)
+                assert opt.argmax == argmax[0]
 
     def test_light_part_tracks_optimal_fraction(self):
         for a, r, d in ((2, 2, 1), (3, 2, 1), (3, 2, 2), (2, 3, 1)):
@@ -216,14 +238,3 @@ class TestIterated:
             C.IteratedSpec(2, ((2, 1), (2, 1)))  # inner base 1 cannot lose 1 more
         with pytest.raises(ValueError):
             C.IteratedSpec(2, ())
-
-
-def test_compositions_are_canonical():
-    comps = list(C.compositions(Params(2, 3, 1), 5))
-    assert all(sum(c) == 5 and len(c) == 3 for c in comps)
-    assert all(c[1] >= c[2] for c in comps)
-    assert len(set(comps)) == len(comps)
-    # every unordered arrangement is represented by exactly one canonical tuple
-    expect = {(v0,) + tuple(sorted(rest, reverse=True))
-              for v0, *rest in ordered_compositions(5, 3)}
-    assert set(comps) == expect

@@ -22,14 +22,7 @@ from .families import (
     in_saturated_family,
     raise_min_weights,
 )
-from .multigraph import Multigraph, Params, common_level_neighborhood, pair_rank
-from .patterns import (
-    CompleteMultipartite,
-    Cycle5,
-    Path4,
-    TriplesMinusEdge,
-    find_good_copy,
-)
+from .multigraph import Multigraph, Params, pair_rank
 from .search import (
     BudgetExceededError,
     SearchOutcome,
@@ -41,20 +34,14 @@ from .search import (
 
 __all__ = [
     "BudgetExceededError",
-    "CompleteMultipartite",
-    "Cycle5",
     "IteratedSpec",
     "Multigraph",
     "OptResult",
     "Params",
-    "Path4",
     "SearchOutcome",
-    "TriplesMinusEdge",
     "brute_force",
     "clone_saturate",
-    "common_level_neighborhood",
     "count_graphs",
-    "find_good_copy",
     "in_graded_family",
     "in_saturated_family",
     "iterated_multigraph",

@@ -212,6 +212,8 @@ def _verify_command(args, cfg: RunConfig) -> int:
         if suite == "conjecture":
             params = Params(args.a, args.r, args.d)
             n_values = [n for n in _range_arg(args.n) if n >= params.s_base]
+            if not n_values:
+                raise ValueError(f"no n in {args.n!r} reaches s_base={params.s_base}")
             rows = verify.conjecture_checks(
                 params, n_values, node_budget=cfg.budget, dps=cfg.precision
             )
@@ -256,31 +258,36 @@ def _verify_command(args, cfg: RunConfig) -> int:
 
 
 def _formulas_command(args, cfg: RunConfig) -> int:
+    points = [
+        (a, r, d)
+        for a in _range_arg(args.a)
+        for r in _range_arg(args.r)
+        for d in _range_arg(args.d)
+        if 0 <= d <= a - 1 and r >= 2
+    ]
+    if not points:
+        raise ValueError("no grid point has 0 <= d <= a-1 and r >= 2")
     header = [False]
-    for a in _range_arg(args.a):
-        for r in _range_arg(args.r):
-            for d in _range_arg(args.d):
-                if not (0 <= d <= a - 1 and r >= 2):
-                    continue
-                params = Params(a, r, d)
-                record = {
-                    "a": a,
-                    "r": r,
-                    "d": d,
-                    "light_part_fraction": str(
-                        formulas.light_part_fraction(params, cfg.precision)
-                    ),
-                    "sum_density_limit": str(formulas.sum_density_limit(params)),
-                    "plateau_density": str(formulas.plateau_density(a, r, cfg.precision)),
-                    "cross_gain": str(formulas.cross_gain_condition(a, r, d)).lower(),
-                }
-                if d >= 1:
-                    record["min_part_size"] = formulas.min_part_size(a, d)
-                if d == 1 and a >= 2:
-                    record["product_density_limit"] = str(
-                        formulas.product_density_limit(a, r, cfg.precision)
-                    )
-                _emit(record, cfg, header)
+    for a, r, d in points:
+        params = Params(a, r, d)
+        record = {
+            "a": a,
+            "r": r,
+            "d": d,
+            "light_part_fraction": str(
+                formulas.light_part_fraction(params, cfg.precision)
+            ),
+            "sum_density_limit": str(formulas.sum_density_limit(params)),
+            "plateau_density": str(formulas.plateau_density(a, r, cfg.precision)),
+            "cross_gain": str(formulas.cross_gain_condition(a, r, d)).lower(),
+        }
+        if d >= 1:
+            record["min_part_size"] = formulas.min_part_size(a, d)
+        if d == 1 and a >= 2:
+            record["product_density_limit"] = str(
+                formulas.product_density_limit(a, r, cfg.precision)
+            )
+        _emit(record, cfg, header)
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from mpmath import mp
 
@@ -150,13 +151,27 @@ def max_sum_density(s: int, q: int) -> Fraction:
     return candidates[lo]
 
 
+@lru_cache(maxsize=None)
+def _amgm(total: int, count: int) -> int:
+    """Max product of `count` nonnegative integers with sum at most `total`.
+
+    Unvalidated and cached: the search engines call it at every node.
+    """
+    if count == 0:
+        return 1
+    if total <= 0:
+        return 0
+    base, extra = divmod(total, count)
+    return base ** (count - extra) * (base + 1) ** extra
+
+
 def am_gm_bound(a: int, n: int, t: int) -> int:
     """Maximum product of n nonnegative integers with sum a*n + t: a^(n-t)(a+1)^t."""
     if a < 0:
         raise ValueError(f"a must be >= 0, got {a}")
     if not 0 <= t <= n:
         raise ValueError(f"t must satisfy 0 <= t <= n, got t={t}, n={n}")
-    return a ** (n - t) * (a + 1) ** t
+    return _amgm(a * n + t, n)
 
 
 def part_size_condition(a: int, d: int, size: int) -> bool:

@@ -4,8 +4,8 @@ A multigraph here is a complete graph on vertices 0..n-1 where every
 unordered pair carries a nonnegative integer multiplicity (possibly 0).
 A multigraph is an (s,q)-graph when every s-set of vertices supports at
 most q edges counted with multiplicity.  This module provides the graph
-type, exact sum/product queries, weight-level subgraphs, clone tests and
-the shared JSON serialization format.
+type, exact sum/product queries, the sparsity check, clone tests and the
+shared JSON serialization format.
 """
 
 from __future__ import annotations
@@ -23,11 +23,6 @@ def pair_rank(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
-
-
-def colex_pairs(n: int) -> list[tuple[int, int]]:
-    """All pairs (i, j), i < j < n, listed in colex order (rank order)."""
-    return [(i, j) for j in range(1, n) for i in range(j)]
 
 
 @dataclass(frozen=True)
@@ -117,9 +112,6 @@ class Multigraph:
     def _check_vertex(self, v: int) -> None:
         self._check_vertex_static(self.n, v)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def weight(self, u: int, v: int) -> int:
         self._check_vertex(u)
         self._check_vertex(v)
@@ -149,7 +141,7 @@ class Multigraph:
             self._check_vertex(v)
         return tuple(xs)
 
-    # -- sums, products, degrees -------------------------------------------
+    # -- sums and products ------------------------------------------------
 
     def edge_sum(self, X: Iterable[int] | None = None) -> int:
         """Sum of weights over pairs inside X (whole graph when X is None)."""
@@ -168,28 +160,6 @@ class Multigraph:
                 return 0
         return out
 
-    def _cross_pairs(self, X: Iterable[int], Y: Iterable[int]) -> list[int]:
-        xs = self._vertex_set(X)
-        ys = self._vertex_set(Y)
-        if set(xs) & set(ys):
-            raise ValueError("cross sets must be disjoint")
-        return [self._w[pair_rank(x, y)] for x in xs for y in ys]
-
-    def cross_sum(self, X: Iterable[int], Y: Iterable[int]) -> int:
-        return sum(self._cross_pairs(X, Y))
-
-    def cross_product(self, X: Iterable[int], Y: Iterable[int]) -> int:
-        out = 1
-        for w in self._cross_pairs(X, Y):
-            out *= w
-            if out == 0:
-                return 0
-        return out
-
-    def degree(self, v: int) -> int:
-        self._check_vertex(v)
-        return sum(self._w[pair_rank(u, v)] for u in range(self.n) if u != v)
-
     def product_degree(self, v: int) -> int:
         self._check_vertex(v)
         out = 1
@@ -197,26 +167,6 @@ class Multigraph:
             if u != v:
                 out *= self._w[pair_rank(u, v)]
         return out
-
-    # -- weight levels -------------------------------------------------------
-
-    def level_edges(self, m: int) -> frozenset[tuple[int, int]]:
-        """Pairs (i, j), i < j, whose weight is exactly m (an ordinary graph)."""
-        if m < 0:
-            raise ValueError("level must be >= 0")
-        return frozenset(
-            (i, j) for i, j, w in self.pairs() if w == m
-        )
-
-    def level_neighborhood(
-        self, v: int, m: int, within: Iterable[int] | None = None
-    ) -> frozenset[int]:
-        """Vertices x (in `within`, default all) with weight(v, x) exactly m."""
-        self._check_vertex(v)
-        if m < 0:
-            raise ValueError("level must be >= 0")
-        xs = self._vertex_set(within)
-        return frozenset(x for x in xs if x != v and self._w[pair_rank(v, x)] == m)
 
     # -- local sparsity -------------------------------------------------------
 
@@ -351,19 +301,3 @@ class Multigraph:
     @classmethod
     def loads(cls, text: str) -> "Multigraph":
         return cls.from_dict(json.loads(text))
-
-
-def common_level_neighborhood(G: Multigraph, W: Iterable[int], m: int) -> frozenset[int]:
-    """Vertices outside W joined to every member of W by weight exactly m."""
-    ws = sorted(set(W))
-    if not ws:
-        raise ValueError("W must be nonempty")
-    for v in ws:
-        G._check_vertex(v)
-    rest = [v for v in range(G.n) if v not in set(ws)]
-    out = frozenset(rest)
-    for v in ws:
-        out &= G.level_neighborhood(v, m, within=rest)
-        if not out:
-            break
-    return out

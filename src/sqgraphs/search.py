@@ -21,6 +21,7 @@ from math import prod
 import numpy as np
 
 from .constructions import max_edge_product, max_edge_sum, turan_multigraph
+from .formulas import _amgm
 from .multigraph import Multigraph, Params, pair_rank
 
 ENGINE_VERSION = "1"
@@ -67,17 +68,6 @@ def _validate(n: int, s: int, q: int) -> None:
         raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
-
-
-@lru_cache(maxsize=None)
-def _amgm(total: int, count: int) -> int:
-    """Max product of `count` nonnegative integers with sum at most `total`."""
-    if count == 0:
-        return 1
-    if total <= 0:
-        return 0
-    base, extra = divmod(total, count)
-    return base ** (count - extra) * (base + 1) ** extra
 
 
 def _iroot(x: int, k: int) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import os
 
+import pytest
+
 from sqgraphs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from sqgraphs.constructions import construction_product
 from sqgraphs.multigraph import Multigraph, Params
@@ -241,18 +243,26 @@ class TestVerifyCommand:
 
 
 class TestRangeArguments:
-    def test_empty_formulas_range(self, capsys, tmp_path):
-        code, out, err = run(capsys, "formulas", "--a", "4..2", "--out", str(tmp_path))
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["formulas", "--a", "4..2"], "empty range", id="formulas-empty-range"),
+            pytest.param(["verify", "counting", "--n", "6..4"], "empty range", id="verify-empty-range"),
+            pytest.param(
+                ["verify", "conjecture", "--r", "3", "--n", "4..5"], "s_base=6",
+                id="conjecture-below-s_base",
+            ),
+            pytest.param(["formulas", "--r", "1"], "no grid point", id="formulas-r-below-2"),
+            pytest.param(["formulas", "--a", "2", "--d", "5"], "no grid point", id="formulas-d-above-a-1"),
+            pytest.param(["formulas", "--budget", "0"], "--budget", id="budget-0"),
+            pytest.param(["formulas", "--precision", "0"], "--precision", id="precision-0"),
+        ],
+    )
+    def test_bad_selection(self, capsys, tmp_path, argv, message):
+        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
         assert code == EXIT_USAGE
         assert out == ""
-        assert "empty range" in err
-
-    def test_empty_verify_range(self, capsys, tmp_path):
-        code, out, err = run(
-            capsys, "verify", "counting", "--n", "6..4", "--out", str(tmp_path)
-        )
-        assert code == EXIT_USAGE
-        assert "empty range" in err
+        assert message in err
 
 
 class TestFormulasCommand:

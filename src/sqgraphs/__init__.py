@@ -22,7 +22,7 @@ from .families import (
     in_saturated_family,
     raise_min_weights,
 )
-from .multigraph import Multigraph, Params, pair_rank
+from .multigraph import Multigraph, Params, common_level_neighborhood, pair_rank
 from .search import (
     BudgetExceededError,
     SearchOutcome,
@@ -41,6 +41,7 @@ __all__ = [
     "SearchOutcome",
     "brute_force",
     "clone_saturate",
+    "common_level_neighborhood",
     "count_graphs",
     "in_graded_family",
     "in_saturated_family",

@@ -4,8 +4,8 @@ A multigraph here is a complete graph on vertices 0..n-1 where every
 unordered pair carries a nonnegative integer multiplicity (possibly 0).
 A multigraph is an (s,q)-graph when every s-set of vertices supports at
 most q edges counted with multiplicity.  This module provides the graph
-type, exact sum/product queries, the sparsity check, clone tests and the
-shared JSON serialization format.
+type, exact sum/product queries, weight-level subgraphs, clone tests and
+the shared JSON serialization format.
 """
 
 from __future__ import annotations
@@ -160,6 +160,24 @@ class Multigraph:
                 return 0
         return out
 
+    def _cross_pairs(self, X: Iterable[int], Y: Iterable[int]) -> list[int]:
+        xs = self._vertex_set(X)
+        ys = self._vertex_set(Y)
+        if set(xs) & set(ys):
+            raise ValueError("cross sets must be disjoint")
+        return [self._w[pair_rank(x, y)] for x in xs for y in ys]
+
+    def cross_sum(self, X: Iterable[int], Y: Iterable[int]) -> int:
+        return sum(self._cross_pairs(X, Y))
+
+    def cross_product(self, X: Iterable[int], Y: Iterable[int]) -> int:
+        out = 1
+        for w in self._cross_pairs(X, Y):
+            out *= w
+            if out == 0:
+                return 0
+        return out
+
     def product_degree(self, v: int) -> int:
         self._check_vertex(v)
         out = 1
@@ -167,6 +185,26 @@ class Multigraph:
             if u != v:
                 out *= self._w[pair_rank(u, v)]
         return out
+
+    # -- weight levels -------------------------------------------------------
+
+    def level_edges(self, m: int) -> frozenset[tuple[int, int]]:
+        """Pairs (i, j), i < j, whose weight is exactly m (an ordinary graph)."""
+        if m < 0:
+            raise ValueError("level must be >= 0")
+        return frozenset(
+            (i, j) for i, j, w in self.pairs() if w == m
+        )
+
+    def level_neighborhood(
+        self, v: int, m: int, within: Iterable[int] | None = None
+    ) -> frozenset[int]:
+        """Vertices x (in `within`, default all) with weight(v, x) exactly m."""
+        self._check_vertex(v)
+        if m < 0:
+            raise ValueError("level must be >= 0")
+        xs = self._vertex_set(within)
+        return frozenset(x for x in xs if x != v and self._w[pair_rank(v, x)] == m)
 
     # -- local sparsity -------------------------------------------------------
 
@@ -301,3 +339,19 @@ class Multigraph:
     @classmethod
     def loads(cls, text: str) -> "Multigraph":
         return cls.from_dict(json.loads(text))
+
+
+def common_level_neighborhood(G: Multigraph, W: Iterable[int], m: int) -> frozenset[int]:
+    """Vertices outside W joined to every member of W by weight exactly m."""
+    ws = sorted(set(W))
+    if not ws:
+        raise ValueError("W must be nonempty")
+    for v in ws:
+        G._check_vertex(v)
+    rest = [v for v in range(G.n) if v not in set(ws)]
+    out = frozenset(rest)
+    for v in ws:
+        out &= G.level_neighborhood(v, m, within=rest)
+        if not out:
+            break
+    return out

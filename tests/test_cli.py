@@ -243,11 +243,23 @@ class TestVerifyCommand:
 
 
 class TestRangeArguments:
+    def test_empty_formulas_range(self, capsys, tmp_path):
+        code, out, err = run(capsys, "formulas", "--a", "4..2", "--out", str(tmp_path))
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "empty range" in err
+
+    def test_empty_verify_range(self, capsys, tmp_path):
+        code, out, err = run(
+            capsys, "verify", "counting", "--n", "6..4", "--out", str(tmp_path)
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "empty range" in err
+
     @pytest.mark.parametrize(
         "argv, message",
         [
-            pytest.param(["formulas", "--a", "4..2"], "empty range", id="formulas-empty-range"),
-            pytest.param(["verify", "counting", "--n", "6..4"], "empty range", id="verify-empty-range"),
             pytest.param(
                 ["verify", "conjecture", "--r", "3", "--n", "4..5"], "s_base=6",
                 id="conjecture-below-s_base",

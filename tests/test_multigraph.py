@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import json
-import math
 import random
 from itertools import combinations
 
 import pytest
 
-from sqgraphs.multigraph import Multigraph, Params, pair_rank
+from sqgraphs.multigraph import Multigraph, Params, common_level_neighborhood, pair_rank
 
 
 def layered_graph(inner0: int, inner: int, cross: int, sizes: tuple[int, ...]) -> Multigraph:
@@ -67,9 +66,7 @@ class TestSumsAndProducts:
         for _ in range(30):
             G = random_graph(6, 4, rng)
             X = [0, 2, 4]
-            assert G.edge_product(X + [5]) == G.edge_product(X) * math.prod(
-                G.weight(x, 5) for x in X
-            )
+            assert G.edge_product(X + [5]) == G.edge_product(X) * G.cross_product(X, [5])
 
     def test_vertex_out_of_range(self):
         G = Multigraph.constant(4, 1)
@@ -78,6 +75,26 @@ class TestSumsAndProducts:
 
 
 class TestCrossAndDegrees:
+    def test_cross_on_layered_graph(self):
+        G = layered_graph(1, 2, 3, (1, 3))
+        assert G.cross_sum([0], [1, 2, 3]) == 9
+        assert G.cross_product([0], [1, 2, 3]) == 27
+
+    def test_empty_cross(self):
+        G = Multigraph.constant(4, 2)
+        assert G.cross_sum([], [1, 2]) == 0
+        assert G.cross_product([], [1, 2]) == 1
+
+    def test_constant_cross(self):
+        G = Multigraph.constant(6, 3)
+        assert G.cross_sum([0, 1], [2, 3, 4]) == 18
+        assert G.cross_product([0, 1], [2, 3, 4]) == 3 ** 6
+
+    def test_overlap_rejected(self):
+        G = Multigraph.constant(4, 2)
+        with pytest.raises(ValueError):
+            G.cross_sum([0, 1], [1, 2])
+
     def test_degrees_constant(self):
         G = Multigraph.constant(5, 3)
         assert G.product_degree(0) == 81
@@ -89,6 +106,50 @@ class TestCrossAndDegrees:
     def test_degrees_layered(self):
         G = layered_graph(1, 2, 3, (1, 3))
         assert G.product_degree(0) == 27
+
+
+class TestLevels:
+    def test_constant_levels(self):
+        G = Multigraph.constant(4, 2)
+        assert len(G.level_edges(2)) == 6
+        assert G.level_edges(3) == frozenset()
+
+    def test_layered_level_is_complete_bipartite(self):
+        G = layered_graph(1, 2, 3, (2, 3))
+        expect = {(i, j) for i in (0, 1) for j in (2, 3, 4)}
+        assert G.level_edges(3) == frozenset(expect)
+
+    def test_levels_partition_pairs(self):
+        rng = random.Random(7)
+        G = random_graph(6, 5, rng)
+        total = sum(len(G.level_edges(m)) for m in range(6))
+        assert total == 15
+
+    def test_level_neighborhood(self):
+        G = layered_graph(1, 2, 3, (2, 3))
+        assert G.level_neighborhood(0, 3) == frozenset({2, 3, 4})
+        assert G.level_neighborhood(0, 1) == frozenset({1})
+        assert G.level_neighborhood(0, 3, within=[2, 3]) == frozenset({2, 3})
+
+    def test_common_level_neighborhood(self):
+        # three balanced parts with cross weight 3: parts 1 and 2 jointly see part 0
+        G = layered_graph(1, 2, 3, (3, 3, 3))
+        assert common_level_neighborhood(G, range(3, 9), 3) == frozenset({0, 1, 2})
+
+    def test_common_level_neighborhood_single(self):
+        G = layered_graph(1, 2, 3, (2, 3))
+        assert common_level_neighborhood(G, [0], 3) == G.level_neighborhood(
+            0, 3, within=[1, 2, 3, 4]
+        )
+
+    def test_common_level_neighborhood_rejects_empty(self):
+        G = Multigraph.constant(3, 1)
+        with pytest.raises(ValueError):
+            common_level_neighborhood(G, [], 1)
+
+    def test_constant_all_neighbors(self):
+        G = Multigraph.constant(5, 4)
+        assert common_level_neighborhood(G, [0, 1], 4) == frozenset({2, 3, 4})
 
 
 class TestSparsity:

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import dataclass
 
 from . import formulas, search, verify
 from .constructions import (
@@ -35,26 +34,8 @@ EXIT_BUDGET = 3
 EXIT_HARD_FAIL = 4
 
 
-@dataclass
-class RunConfig:
-    command: str
-    budget: int
-    precision: int
-    cache: str | None
-    out: str
-    fmt: str
-
-    def __post_init__(self) -> None:
-        if self.budget < 1:
-            raise ValueError("--budget must be >= 1")
-        if self.precision < 1:
-            raise ValueError("--precision must be >= 1")
-        if self.fmt not in ("text", "csv"):
-            raise ValueError("--format must be text or csv")
-
-
-def _emit(record: dict, cfg: RunConfig, header_done: list[bool]) -> None:
-    if cfg.fmt == "csv":
+def _emit(record: dict, args, header_done: list[bool]) -> None:
+    if args.fmt == "csv":
         buf = io.StringIO()
         writer = _csv.writer(buf)
         if not header_done[0]:
@@ -68,9 +49,21 @@ def _emit(record: dict, cfg: RunConfig, header_done: list[bool]) -> None:
         )
 
 
-def _witness_path(cfg: RunConfig, name: str) -> str:
-    os.makedirs(cfg.out, exist_ok=True)
-    return os.path.join(cfg.out, name)
+def _witness_path(args, name: str) -> str:
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
+def _at_least(minimum: int):
+    """Argparse type: an int no smaller than ``minimum``."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return integer
 
 
 def _range_arg(text: str) -> list[int]:
@@ -83,55 +76,59 @@ def _range_arg(text: str) -> list[int]:
     return [int(text)]
 
 
-def _search_command(args, cfg: RunConfig, mode: str) -> int:
+def _search_record(args, value: int, optimal: bool, source: str) -> dict:
+    n = args.n
+    return {
+        "command": args.command,
+        "n": n,
+        "s": args.s,
+        "q": args.q,
+        "value": str(value),
+        "density": formulas.density(value, n * (n - 1) // 2),
+        "optimal": str(optimal).lower(),
+        "source": source,
+    }
+
+
+def _count_command(args) -> int:
+    try:
+        value = search.count_graphs(args.n, args.s, args.q, node_budget=args.budget)
+    except search.BudgetExceededError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    _emit(_search_record(args, value, True, "search"), args, [False])
+    return EXIT_OK
+
+
+def _search_command(args) -> int:
     n, s, q = args.n, args.s, args.q
     outcome = None
-    # a count has no witness to re-check, so it bypasses the cache
-    cache = cfg.cache if mode != "count" else None
-    if cache:
+    if args.cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", search.CacheWarning)
-            outcome = search.cached_outcome(cache, n, s, q, mode)
+            outcome = search.cached_outcome(args.cache, n, s, q, args.mode)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
     fresh = outcome is None
     if fresh:
-        if mode == "count":
-            try:
-                value = search.count_graphs(n, s, q, node_budget=cfg.budget)
-            except search.BudgetExceededError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_BUDGET
-            outcome = search.SearchOutcome("count", value, None, True, {"source": "search"})
-        elif mode == "sum":
-            outcome = search.max_sum_search(n, s, q, node_budget=cfg.budget)
-        else:
-            outcome = search.max_product_search(n, s, q, node_budget=cfg.budget)
-    pairs = n * (n - 1) // 2
-    record = {
-        "command": args.command,
-        "n": n,
-        "s": s,
-        "q": q,
-        "value": str(outcome.value),
-        "density": formulas.density(outcome.value, pairs),
-        "optimal": str(outcome.optimal).lower(),
-        "source": outcome.stats.get("source", "search"),
-    }
-    if mode != "count":
-        record["upper"] = str(outcome.stats["upper"])
+        engine = search.max_sum_search if args.mode == "sum" else search.max_product_search
+        outcome = engine(n, s, q, node_budget=args.budget)
+    record = _search_record(
+        args, outcome.value, outcome.optimal, outcome.stats.get("source", "search")
+    )
+    record["upper"] = str(outcome.stats["upper"])
     if outcome.witness is not None:
-        path = _witness_path(cfg, f"{args.command}_n{n}_s{s}_q{q}.witness.json")
+        path = _witness_path(args, f"{args.command}_n{n}_s{s}_q{q}.witness.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(outcome.witness.dumps() + "\n")
         record["witness"] = path
-    _emit(record, cfg, [False])
-    if cache and fresh:
-        search.append_cache(cache, search.cache_record(n, s, q, outcome))
+    _emit(record, args, [False])
+    if args.cache and fresh:
+        search.append_cache(args.cache, search.cache_record(n, s, q, outcome))
     return EXIT_OK if outcome.optimal else EXIT_BUDGET
 
 
-def _construct_command(args, cfg: RunConfig) -> int:
+def _construct_command(args) -> int:
     params = Params(args.a, args.r, args.d)
     n = args.n
     pairs = n * (n - 1) // 2
@@ -142,10 +139,10 @@ def _construct_command(args, cfg: RunConfig) -> int:
     ):
         witness = turan_multigraph(params, opt.argmax)
         stem = f"construct_a{args.a}_r{args.r}_d{args.d}_n{n}.{kind}"
-        path = _witness_path(cfg, stem + ".json")
+        path = _witness_path(args, stem + ".json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(witness.dumps() + "\n")
-        with open(_witness_path(cfg, stem + ".opt.json"), "w", encoding="utf-8") as fh:
+        with open(_witness_path(args, stem + ".opt.json"), "w", encoding="utf-8") as fh:
             json.dump(optimum_to_dict(params, n, opt), fh, separators=(",", ":"))
             fh.write("\n")
         _emit(
@@ -162,13 +159,13 @@ def _construct_command(args, cfg: RunConfig) -> int:
                 "all_argmax": ";".join("/".join(map(str, c)) for c in opt.all_argmax),
                 "witness": path,
             },
-            cfg,
+            args,
             header,
         )
     return EXIT_OK
 
 
-def _iterate_command(args, cfg: RunConfig) -> int:
+def _iterate_command(args) -> int:
     levels = tuple((int(r), int(d)) for r, d in (lv.split(",") for lv in args.level))
     spec = IteratedSpec(args.a, levels)
     sizes = [[int(x) for x in sz.split(",")] for sz in args.sizes]
@@ -176,7 +173,7 @@ def _iterate_command(args, cfg: RunConfig) -> int:
     s = args.s if args.s is not None else spec.level_params()[0].s_base
     max_sum, argset = G.max_subset_sum(s) if s <= G.n else (G.edge_sum(), tuple(range(G.n)))
     pairs = G.n * (G.n - 1) // 2
-    path = _witness_path(cfg, f"iterate_n{G.n}.witness.json")
+    path = _witness_path(args, f"iterate_n{G.n}.witness.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(G.dumps() + "\n")
     _emit(
@@ -193,19 +190,19 @@ def _iterate_command(args, cfg: RunConfig) -> int:
             "max_subset_sum": max_sum,
             "witness": path,
         },
-        cfg,
+        args,
         [False],
     )
     return EXIT_OK
 
 
-def _verify_command(args, cfg: RunConfig) -> int:
+def _verify_command(args) -> int:
     suites = (
         ["conjecture", "identities", "conditions", "counting", "transformations"]
         if args.suite == "all"
         else [args.suite]
     )
-    os.makedirs(cfg.out, exist_ok=True)
+    os.makedirs(args.out, exist_ok=True)
     total_hard = 0
     header = [False]
     for suite in suites:
@@ -215,7 +212,7 @@ def _verify_command(args, cfg: RunConfig) -> int:
             if not n_values:
                 raise ValueError(f"no n in {args.n!r} reaches s_base={params.s_base}")
             rows = verify.conjecture_checks(
-                params, n_values, node_budget=cfg.budget, dps=cfg.precision
+                params, n_values, node_budget=args.budget, dps=args.precision
             )
         elif suite == "identities":
             rows = verify.identity_checks(a_max=args.amax, r_max=args.rmax)
@@ -227,14 +224,14 @@ def _verify_command(args, cfg: RunConfig) -> int:
             for n in n_values:
                 rows.extend(
                     verify.counting_checks(
-                        n, args.a, args.r, node_budget=cfg.budget, dps=cfg.precision
+                        n, args.a, args.r, node_budget=args.budget, dps=args.precision
                     )
                 )
         else:
             rows = verify.transformation_checks(
                 trials=args.trials, seed=args.seed
             )
-        base = os.path.join(cfg.out, f"verify_{suite}")
+        base = os.path.join(args.out, f"verify_{suite}")
         verify.write_reports(rows, base)
         for row in rows:
             _emit(
@@ -246,7 +243,7 @@ def _verify_command(args, cfg: RunConfig) -> int:
                     "right": row.right or "-",
                     "note": row.note or "-",
                 },
-                cfg,
+                args,
                 header,
             )
         hard = verify.hard_failures(rows)
@@ -257,7 +254,7 @@ def _verify_command(args, cfg: RunConfig) -> int:
     return EXIT_HARD_FAIL if total_hard else EXIT_OK
 
 
-def _formulas_command(args, cfg: RunConfig) -> int:
+def _formulas_command(args) -> int:
     points = [
         (a, r, d)
         for a in _range_arg(args.a)
@@ -275,20 +272,39 @@ def _formulas_command(args, cfg: RunConfig) -> int:
             "r": r,
             "d": d,
             "light_part_fraction": str(
-                formulas.light_part_fraction(params, cfg.precision)
+                formulas.light_part_fraction(params, args.precision)
             ),
             "sum_density_limit": str(formulas.sum_density_limit(params)),
-            "plateau_density": str(formulas.plateau_density(a, r, cfg.precision)),
+            "plateau_density": str(formulas.plateau_density(a, r, args.precision)),
             "cross_gain": str(formulas.cross_gain_condition(a, r, d)).lower(),
         }
         if d >= 1:
             record["min_part_size"] = formulas.min_part_size(a, d)
         if d == 1 and a >= 2:
             record["product_density_limit"] = str(
-                formulas.product_density_limit(a, r, cfg.precision)
+                formulas.product_density_limit(a, r, args.precision)
             )
-        _emit(record, cfg, header)
+        _emit(record, args, header)
     return EXIT_OK
+
+
+def _flag_parent(flag: str, **kwargs) -> argparse.ArgumentParser:
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(flag, **kwargs)
+    return parent
+
+
+# one parent parser per shared flag; a subcommand copies the actions of
+# exactly the flags its handler reads.  Built once at import, because main
+# builds the whole parser per call and copying an action is cheaper than
+# adding it.
+_FLAG_PARENTS = {
+    "--budget": _flag_parent("--budget", type=_at_least(1), default=search.DEFAULT_NODE_BUDGET, help="node budget for searches and counts"),
+    "--precision": _flag_parent("--precision", type=_at_least(1), default=formulas.DEFAULT_DPS, help="decimal digits for real-valued outputs"),
+    "--cache": _flag_parent("--cache", default=None, help="append-only result cache file"),
+    "--out": _flag_parent("--out", default=".", help="directory for witness and report files"),
+    "--format": _flag_parent("--format", dest="fmt", choices=("text", "csv"), default="text"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -296,35 +312,34 @@ def build_parser() -> argparse.ArgumentParser:
         prog="sqgraphs",
         description="Exact extremal computations for locally sparse multigraphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--budget", type=int, default=search.DEFAULT_NODE_BUDGET, help="node budget for searches and counts")
-    common.add_argument("--precision", type=int, default=formulas.DEFAULT_DPS, help="decimal digits for real-valued outputs")
-    common.add_argument("--cache", default=None, help="append-only result cache file")
-    common.add_argument("--out", default=".", help="directory for witness and report files")
-    common.add_argument("--format", dest="fmt", choices=("text", "csv"), default="text")
-
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, desc in (
-        ("exsum", "maximum edge sum over (s,q)-graphs"),
-        ("expi", "maximum edge product over (s,q)-graphs"),
-        ("count", "number of (s,q)-graphs"),
-    ):
-        p = sub.add_parser(name, parents=[common], help=desc)
-        p.add_argument("n", type=int)
-        p.add_argument("s", type=int)
-        p.add_argument("q", type=int)
 
-    p = sub.add_parser("construct", parents=[common], help="optimal construction members")
+    def command(name: str, desc: str, handler, *flags: str, **defaults) -> argparse.ArgumentParser:
+        """Add subcommand ``name`` with exactly the shared ``flags`` its handler reads."""
+        p = sub.add_parser(name, help=desc, parents=[_FLAG_PARENTS[f] for f in flags])
+        p.set_defaults(handler=handler, **defaults)
+        return p
+
+    search_flags = ("--budget", "--cache", "--out", "--format")
+    for p in (
+        command("exsum", "maximum edge sum over (s,q)-graphs", _search_command, *search_flags, mode="sum"),
+        command("expi", "maximum edge product over (s,q)-graphs", _search_command, *search_flags, mode="product"),
+        command("count", "number of (s,q)-graphs", _count_command, "--budget", "--format"),
+    ):
+        for field in ("n", "s", "q"):
+            p.add_argument(field, type=int)
+
+    p = command("construct", "optimal construction members", _construct_command, "--out", "--format")
     for field in ("a", "r", "d", "n"):
         p.add_argument(field, type=int)
 
-    p = sub.add_parser("iterate", parents=[common], help="nested construction members")
+    p = command("iterate", "nested construction members", _iterate_command, "--out", "--format")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--level", action="append", required=True, metavar="R,D")
     p.add_argument("--sizes", action="append", required=True, metavar="V0,V1,...")
     p.add_argument("--s", type=int, default=None, help="subset size for the sparsity scan")
 
-    p = sub.add_parser("verify", parents=[common], help="run a check suite")
+    p = command("verify", "run a check suite", _verify_command, "--budget", "--precision", "--out", "--format")
     p.add_argument(
         "suite",
         choices=("conjecture", "identities", "conditions", "counting", "transformations", "all"),
@@ -333,12 +348,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--n", default="4..6", help="n or lo..hi")
-    p.add_argument("--amax", type=int, default=6)
-    p.add_argument("--rmax", type=int, default=5)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--amax", type=_at_least(1), default=6)
+    p.add_argument("--rmax", type=_at_least(2), default=5)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=20240817)
 
-    p = sub.add_parser("formulas", parents=[common], help="closed-form grid evaluation")
+    p = command("formulas", "closed-form grid evaluation", _formulas_command, "--precision", "--format")
     p.add_argument("--a", default="2..4", help="a or lo..hi")
     p.add_argument("--r", default="2..4", help="r or lo..hi")
     p.add_argument("--d", default="0..2", help="d or lo..hi")
@@ -350,32 +365,12 @@ def main(argv: list[str] | None = None) -> int:
     # print exact values in full; process-wide, so callers can parse them back
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg = RunConfig(
-            command=args.command,
-            budget=args.budget,
-            precision=args.precision,
-            cache=args.cache,
-            out=args.out,
-            fmt=args.fmt,
-        )
-        if args.command in ("exsum", "expi", "count"):
-            mode = {"exsum": "sum", "expi": "product", "count": "count"}[args.command]
-            return _search_command(args, cfg, mode)
-        if args.command == "construct":
-            return _construct_command(args, cfg)
-        if args.command == "iterate":
-            return _iterate_command(args, cfg)
-        if args.command == "verify":
-            return _verify_command(args, cfg)
-        if args.command == "formulas":
-            return _formulas_command(args, cfg)
-        raise AssertionError(f"unhandled command {args.command}")
+        return args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

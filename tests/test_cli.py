@@ -46,7 +46,7 @@ class TestSearchCommands:
         assert record_fields(out)["value"] == "15"
 
     def test_count(self, capsys, tmp_path):
-        code, out, _ = run(capsys, "count", "4", "4", "3", "--out", str(tmp_path))
+        code, out, _ = run(capsys, "count", "4", "4", "3")
         assert code == EXIT_OK
         assert record_fields(out)["value"] == "84"
 
@@ -126,23 +126,19 @@ class TestSearchCommands:
         assert record_fields(out)["source"] == "cache"
 
     def test_count_ignores_cache(self, capsys, tmp_path):
-        # a count record has no witness to re-check, so an edited one must
-        # not be served, and counts add no records
+        # a count record has no witness to re-check, so count has no --cache
+        # flag: an edited record can be neither served nor added to
         cache = str(tmp_path / "cache.jsonl")
         edited = SearchOutcome("count", 85, None, True, {"source": "search"})
         append_cache(cache, cache_record(4, 4, 3, edited))
-        code, out, _ = run(
-            capsys, "count", "4", "4", "3", "--cache", cache, "--out", str(tmp_path)
-        )
-        assert code == EXIT_OK
-        fields = record_fields(out)
-        assert fields["value"] == "84" and fields["source"] == "search"
+        code, out, err = run(capsys, "count", "4", "4", "3", "--cache", cache)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "--cache" in err
         assert len(open(cache).read().splitlines()) == 1
 
     def test_csv_format(self, capsys, tmp_path):
-        code, out, _ = run(
-            capsys, "count", "4", "2", "2", "--format", "csv", "--out", str(tmp_path)
-        )
+        code, out, _ = run(capsys, "count", "4", "2", "2", "--format", "csv")
         assert code == EXIT_OK
         header, row = out.strip().splitlines()
         assert header.split(",")[:4] == ["command", "n", "s", "q"]
@@ -244,7 +240,7 @@ class TestVerifyCommand:
 
 class TestRangeArguments:
     def test_empty_formulas_range(self, capsys, tmp_path):
-        code, out, err = run(capsys, "formulas", "--a", "4..2", "--out", str(tmp_path))
+        code, out, err = run(capsys, "formulas", "--a", "4..2")
         assert code == EXIT_USAGE
         assert out == ""
         assert "empty range" in err
@@ -257,24 +253,51 @@ class TestRangeArguments:
         assert out == ""
         assert "empty range" in err
 
+    # "{out}" stands for the test's own output directory; only commands that
+    # accept --out get one
     @pytest.mark.parametrize(
         "argv, message",
         [
             pytest.param(
-                ["verify", "conjecture", "--r", "3", "--n", "4..5"], "s_base=6",
+                ["verify", "conjecture", "--r", "3", "--n", "4..5", "--out", "{out}"], "s_base=6",
                 id="conjecture-below-s_base",
             ),
             pytest.param(["formulas", "--r", "1"], "no grid point", id="formulas-r-below-2"),
             pytest.param(["formulas", "--a", "2", "--d", "5"], "no grid point", id="formulas-d-above-a-1"),
-            pytest.param(["formulas", "--budget", "0"], "--budget", id="budget-0"),
+            pytest.param(["expi", "4", "4", "15", "--budget", "0", "--out", "{out}"], "--budget", id="budget-0"),
             pytest.param(["formulas", "--precision", "0"], "--precision", id="precision-0"),
+            pytest.param(["verify", "transformations", "--trials", "0", "--out", "{out}"], "--trials", id="trials-0"),
+            pytest.param(["verify", "identities", "--amax", "0", "--out", "{out}"], "--amax", id="amax-0"),
+            pytest.param(["verify", "identities", "--rmax", "1", "--out", "{out}"], "--rmax", id="rmax-1"),
+            # a flag the command does not read is rejected, not ignored
+            *(
+                pytest.param(argv, f"unrecognized arguments: {argv[-2]}", id=f"{argv[0]}-{argv[-2][2:]}")
+                for argv in (
+                    ["expi", "4", "4", "15", "--out", "{out}", "--precision", "30"],
+                    ["exsum", "4", "4", "15", "--out", "{out}", "--precision", "30"],
+                    ["count", "4", "4", "3", "--precision", "30"],
+                    ["count", "4", "4", "3", "--cache", "{out}/c.jsonl"],
+                    ["count", "4", "4", "3", "--out", "{out}"],
+                    ["construct", "2", "2", "1", "5", "--out", "{out}", "--budget", "7"],
+                    ["construct", "2", "2", "1", "5", "--out", "{out}", "--precision", "30"],
+                    ["construct", "2", "2", "1", "5", "--out", "{out}", "--cache", "{out}/c.jsonl"],
+                    ["iterate", "--a", "3", "--level", "2,1", "--sizes", "4,5", "--out", "{out}", "--budget", "7"],
+                    ["iterate", "--a", "3", "--level", "2,1", "--sizes", "4,5", "--out", "{out}", "--precision", "30"],
+                    ["iterate", "--a", "3", "--level", "2,1", "--sizes", "4,5", "--out", "{out}", "--cache", "{out}/c.jsonl"],
+                    ["verify", "conditions", "--out", "{out}", "--cache", "{out}/c.jsonl"],
+                    ["formulas", "--budget", "7"],
+                    ["formulas", "--cache", "{out}/c.jsonl"],
+                    ["formulas", "--out", "{out}"],
+                )
+            ),
         ],
     )
     def test_bad_selection(self, capsys, tmp_path, argv, message):
-        code, out, err = run(capsys, *argv, "--out", str(tmp_path))
+        code, out, err = run(capsys, *(arg.format(out=tmp_path) for arg in argv))
         assert code == EXIT_USAGE
         assert out == ""
         assert message in err
+        assert not os.path.exists(tmp_path / "c.jsonl")
 
 
 class TestFormulasCommand:
@@ -282,7 +305,6 @@ class TestFormulasCommand:
         code, out, _ = run(
             capsys,
             "formulas", "--a", "2..3", "--r", "2..2", "--d", "1..1",
-            "--out", str(tmp_path),
         )
         assert code == EXIT_OK
         lines = out.strip().splitlines()

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import prod
+from operator import itemgetter
 
 import numpy as np
 
@@ -119,6 +120,20 @@ def _layout(n: int, s: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
     return sset_pairs, tuple(map(tuple, cover))
 
 
+@lru_cache(maxsize=None)
+def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
+    """Per depth k of the rank-order search: open_sets[k] holds (X, getter of
+    X's pairs >= k) for each s-set X with >= 2 of them; later[k] holds (X, X's
+    pairs > k) for each X on pair k."""
+    sset_pairs, cover = _layout(n, s)
+    open_sets, later = [], []
+    for k in range(len(cover)):
+        tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(sset_pairs)]
+        open_sets.append(tuple((X, itemgetter(*prs)) for X, prs in tails if len(prs) >= 2))
+        later.append(tuple((X, tails[X][1][1:]) for X in cover[k]))
+    return tuple(open_sets), tuple(later)
+
+
 def _seed_witnesses(n: int, s: int, q: int, mode: str) -> list[Multigraph]:
     """Feasible starting incumbents: constant graph plus construction optima.
 
@@ -163,6 +178,7 @@ def _run_search(
     wlo = 1 if (product and q >= spairs) else 0
 
     sset_pairs, cover = _layout(n, s)
+    open_sets, later = _depth_tables(n, s)
     S = len(sset_pairs)
 
     seeds = _seed_witnesses(n, s, q, mode)
@@ -170,75 +186,56 @@ def _run_search(
     inc_val = _graph_value(inc_wit, mode)
 
     rem = [q] * S
-    m = [spairs] * S
+    am = [_amgm(q, spairs)] * S
     W = [0] * P
     sym = _sym_tables(n)
-    stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+    nodes = bound_prunes = symmetry_prunes = 0
 
-    # Averaging bound (Katona).  Every pair lies in exactly per_pair =
-    # C(n-2, s-2) s-sets, so adding up any per-s-set quantity over all
-    # s-sets counts each unassigned pair per_pair times.
-    # Sum: the weight still to assign is at most sum(rem) // per_pair, and
-    # acc + sum(rem) / per_pair is q*S / per_pair on every path, so one
-    # constant `upper` serves every node.
-    # Product: each s-set's unassigned weights multiply to at most
-    # _amgm(rem[X], m[X]), so the product R still to assign satisfies
-    # R**per_pair <= cap = prod_X _amgm(rem[X], m[X]).  A child changes only
-    # the factors of cover[k], so dfs carries cap and rescales it exactly.
-    # acc * R > inc_val needs R >= inc_val // acc + 1, so a node with
-    # (inc_val // acc + 1)**per_pair > cap cannot improve on the incumbent.
+    # rem[X] is what s-set X may still add to its sum; at depth k its m open
+    # pairs are its pairs >= k.  Pair bound: an open pair of X takes at most
+    # X's slack rem[X] - (m-1)*wlo, as X's other open pairs take >= wlo each.
+    # ub[e] is the least slack over cover[e]; ub[e] < wlo prunes.  Setting
+    # pair k to w >= wlo moves only the slacks of cover[k], each by wlo - w
+    # <= 0, so a child lowers ub on those sets' later pairs and ub stays exact.
+    # Total bound: the open pairs add at most acc*prod(ub) (acc+sum(ub)).
+    # Per-set bound: X's open pairs jointly add at most am[X] = _amgm(rem[X],
+    # m), kept in product mode (rem[X] for sums), which may replace the product
+    # (sum) of their ub in the total bound.  If m = 1, am[X] = max(rem[X], 0)
+    # >= rem[X] >= ub[e], so the test cannot fire and is skipped.
+    # Averaging bound (Katona): every pair lies in per_pair = C(n-2, s-2)
+    # s-sets, so summing a per-s-set quantity counts each open pair per_pair
+    # times.  Sum: acc + sum(rem) // per_pair is q*S // per_pair on every
+    # path, one constant `upper`.  Product: the product R still to assign has
+    # R**per_pair <= cap = prod_X am[X]; a child rescales cap exactly on
+    # cover[k].  acc * R > inc_val needs R >= inc_val // acc + 1, so
+    # (inc_val // acc + 1)**per_pair > cap prunes.
     per_pair = len(cover[0])
-    cap = _amgm(q, spairs) ** S
+    cap = am[0] ** S
     upper = _iroot(cap, per_pair) if product else q * S // per_pair
 
-    def ub_of(e: int) -> int:
-        best = None
-        for X in cover[e]:
-            cand = rem[X] - (m[X] - 1) * wlo
-            if best is None or cand < best:
-                best = cand
-        return best
-
-    def prune_by_bound(k: int, acc: int, cap: int) -> bool:
+    def prune_by_bound(k: int, acc: int, cap: int, ub: list[int]) -> bool:
         if product:
             if acc == 0 or (inc_val // acc + 1) ** per_pair > cap:
                 return True
         elif upper <= inc_val:
             return True
-        ubs = []
-        for e in range(k, P):
-            u = ub_of(e)
-            if u < wlo:
-                return True
-            ubs.append(u)
+        ubs = ub[k:]
+        if min(ubs) < wlo:
+            return True
         if product:
-            base = acc
-            for u in ubs:
-                base *= u
+            base = acc * prod(ubs)
             if base <= inc_val:
                 return True
-            for X in range(S):
-                mx = m[X]
-                if mx == 0:
-                    continue
-                px = 1
-                for e in sset_pairs[X]:
-                    if e >= k:
-                        px *= ubs[e - k]
-                alt = _amgm(rem[X], mx)
-                if alt < px and (base // px) * alt <= inc_val:
+            for X, get in open_sets[k]:
+                px = prod(get(ub))
+                if am[X] < px and (base // px) * am[X] <= inc_val:
                     return True
             return False
         base = acc + sum(ubs)
         if base <= inc_val:
             return True
-        for X in range(S):
-            if m[X] == 0:
-                continue
-            sx = 0
-            for e in sset_pairs[X]:
-                if e >= k:
-                    sx += ubs[e - k]
+        for X, get in open_sets[k]:
+            sx = sum(get(ub))
             if rem[X] < sx and base - sx + rem[X] <= inc_val:
                 return True
         return False
@@ -256,42 +253,52 @@ def _run_search(
                     break
         return True
 
-    def dfs(k: int, acc: int, cap: int) -> None:
-        nonlocal inc_val, inc_wit
+    def dfs(k: int, acc: int, cap: int, ub: list[int]) -> None:
+        nonlocal inc_val, inc_wit, nodes, bound_prunes, symmetry_prunes
         if k == P:
             if acc > inc_val:
                 inc_val = acc
                 inc_wit = Multigraph(n, W)
             return
-        if prune_by_bound(k, acc, cap):
-            stats["bound_prunes"] += 1
+        if prune_by_bound(k, acc, cap, ub):
+            bound_prunes += 1
             return
-        hi = ub_of(k)
         if product:
             # nonzero: a zero factor makes cap 0, which prune_by_bound prunes
-            old = prod(_amgm(rem[X], m[X]) for X in cover[k])
-        for w in range(hi, wlo - 1, -1):
-            stats["nodes"] += 1
-            if stats["nodes"] > node_budget:
+            olds = [am[X] for X in cover[k]]
+            old = prod(olds)
+        for w in range(ub[k], wlo - 1, -1):
+            nodes += 1
+            if nodes > node_budget:
                 raise _BudgetHit
             W[k] = w
-            for X in cover[k]:
-                rem[X] -= w
-                m[X] -= 1
             if not sym_ok(k):
-                stats["symmetry_prunes"] += 1
-            elif product:
-                new = prod(_amgm(rem[X], m[X]) for X in cover[k])
-                dfs(k + 1, acc * w, cap // old * new)
+                symmetry_prunes += 1
+                continue
+            child = ub[:]
+            new = 1
+            for X, prs in later[k]:
+                r = rem[X] = rem[X] - w
+                if product:
+                    am[X] = a = _amgm(r, len(prs))
+                    new *= a
+                slack = r - (len(prs) - 1) * wlo
+                for e in prs:
+                    if slack < child[e]:
+                        child[e] = slack
+            if product:
+                dfs(k + 1, acc * w, cap // old * new, child)
             else:
-                dfs(k + 1, acc + w, cap)
+                dfs(k + 1, acc + w, cap, child)
             for X in cover[k]:
                 rem[X] += w
-                m[X] += 1
+        if product:
+            for X, a in zip(cover[k], olds):
+                am[X] = a
 
     optimal = True
     try:
-        dfs(0, 1 if product else 0, cap)
+        dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P)
     except _BudgetHit:
         optimal = False
 
@@ -301,6 +308,7 @@ def _run_search(
     if _graph_value(inc_wit, mode) != inc_val:
         raise RuntimeError("engine value does not match its witness")
 
+    stats = {"nodes": nodes, "bound_prunes": bound_prunes, "symmetry_prunes": symmetry_prunes}
     stats["upper"] = inc_val if optimal else upper
     stats["wall_time"] = time.perf_counter() - t0
     stats["seeds"] = len(seeds)
@@ -571,12 +579,12 @@ def load_cache(path: str) -> dict[tuple, dict]:
 def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcome | None:
     """Reload an optimal cached outcome, or None if absent, non-optimal or unsound.
 
-    A sum or product record is served only when its witness is an
-    (s,q)-graph on n vertices with exactly the stored value; anything
-    else is a miss, so the caller searches again.
+    A record is served only when its "optimal" is JSON true and its
+    witness is an (s,q)-graph on n vertices with exactly the stored
+    value; anything else is a miss, so the caller searches again.
     """
     rec = load_cache(path).get((n, s, q, mode))
-    if rec is None or not rec.get("optimal"):
+    if rec is None or rec.get("optimal") is not True:
         return None
     try:
         value = int(rec["value"])

@@ -74,6 +74,25 @@ class TestAveragingBound:
         assert out.optimal
         assert out.stats["nodes"] <= 21_053
 
+    @pytest.mark.parametrize(
+        "engine,n,s,q,budget,expected",
+        [
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 2149, 907, 577, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 21053, 8945, 4534, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3797, 2001, 938, 95551488)),
+            ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 28146, 16877, 6964, 918330048)),
+            ("sum", 7, 4, 15, 20_000, (51, False, 20001, 13346, 2566, 52)),
+        ],
+    )
+    def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):
+        # exact node and per-rule prune counts: a change to any pruning rule
+        # or to the search order shows here
+        search = S.max_product_search if engine == "product" else S.max_sum_search
+        out = search(n, s, q, node_budget=budget)
+        st = out.stats
+        got = (out.value, out.optimal, st["nodes"], st["bound_prunes"], st["symmetry_prunes"], st["upper"])
+        assert got == expected
+
     def test_integer_root(self):
         for k in (1, 2, 3, 15):
             for x in list(range(300)) + [216 ** 70, 216 ** 70 - 1]:
@@ -238,6 +257,14 @@ class TestCache:
         assert not out.optimal
         S.append_cache(path, S.cache_record(6, 4, 15, out))
         assert S.cached_outcome(path, 6, 4, 15, "product") is None
+
+    @pytest.mark.parametrize("flag", ["false", 1])
+    def test_optimal_must_be_json_true(self, tmp_path, flag):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(4, 4, 15, S.max_product_search(4, 4, 15))
+        rec["optimal"] = flag
+        S.append_cache(path, rec)
+        assert S.cached_outcome(path, 4, 4, 15, "product") is None
 
     def test_torn_last_line_is_skipped(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -83,6 +83,15 @@ def _iroot(x: int, k: int) -> int:
     return lo
 
 
+def _averaging_chain(n: int, s: int, q: int, product: bool) -> int:
+    """Upper bound on the optimum over (s,q)-graphs on n vertices: the
+    recursive averaging chain over t = s+1..n (soundness in _run_search)."""
+    u = _amgm(q, s * (s - 1) // 2) if product else q
+    for t in range(s + 1, n + 1):
+        u = _iroot(u**t, t - 2) if product else t * u // (t - 2)
+    return u
+
+
 @lru_cache(maxsize=None)
 def _sym_tables(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
     """Pair-index permutations for adjacent vertex swaps of complete prefixes.
@@ -202,22 +211,26 @@ def _run_search(
     # m), kept in product mode (rem[X] for sums), which may replace the product
     # (sum) of their ub in the total bound.  If m = 1, am[X] = max(rem[X], 0)
     # >= rem[X] >= ub[e], so the test cannot fire and is skipped.
+    # Root bound (recursive Katona chain): an (s,q)-graph on t vertices
+    # restricts to an (s,q)-graph on each of its t (t-1)-subsets, and each
+    # pair lies in t-2 of them.  Sum: (t-2)*ex(t) <= t*ex(t-1).  Product:
+    # ex(t)**(t-2) <= ex(t-1)**t.  From ex(s) <= q, or _amgm(q, C(s,2)) for
+    # products, `upper` floors each step up to t = n, so it bounds every
+    # completion and is never above the one-step q*C(n,s) // C(n-2,s-2) or
+    # _iroot(cap, per_pair).  Once inc_val reaches it, no node can beat it.
     # Averaging bound (Katona): every pair lies in per_pair = C(n-2, s-2)
-    # s-sets, so summing a per-s-set quantity counts each open pair per_pair
-    # times.  Sum: acc + sum(rem) // per_pair is q*S // per_pair on every
-    # path, one constant `upper`.  Product: the product R still to assign has
-    # R**per_pair <= cap = prod_X am[X]; a child rescales cap exactly on
-    # cover[k].  acc * R > inc_val needs R >= inc_val // acc + 1, so
-    # (inc_val // acc + 1)**per_pair > cap prunes.
+    # s-sets, so prod_X am[X] counts each open pair's factor per_pair times:
+    # the product R still to assign has R**per_pair <= cap = prod_X am[X]; a
+    # child rescales cap exactly on cover[k].  acc * R > inc_val needs
+    # R >= inc_val // acc + 1, so (inc_val // acc + 1)**per_pair > cap prunes.
     per_pair = len(cover[0])
     cap = am[0] ** S
-    upper = _iroot(cap, per_pair) if product else q * S // per_pair
+    upper = _averaging_chain(n, s, q, product)
 
     def prune_by_bound(k: int, acc: int, cap: int, ub: list[int]) -> bool:
-        if product:
-            if acc == 0 or (inc_val // acc + 1) ** per_pair > cap:
-                return True
-        elif upper <= inc_val:
+        if upper <= inc_val:
+            return True
+        if product and (acc == 0 or (inc_val // acc + 1) ** per_pair > cap):
             return True
         ubs = ub[k:]
         if min(ubs) < wlo:
@@ -339,53 +352,40 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     """
     _validate(n, s, q)
     P = n * (n - 1) // 2
-    spairs = s * (s - 1) // 2
-    sset_pairs, cover = _layout(n, s)
-    S = len(sset_pairs)
+    open_sets, later = _depth_tables(n, s)
+    rem = [q + 1] * len(_layout(n, s)[0])
+    nodes = 0
 
-    rem = [q] * S
-    m = [spairs] * S
-    # ssets with >= 2 unassigned pairs; once none remain the tail factors
-    state = {"nodes": 0, "pending": S if spairs >= 2 else 0}
-
-    def ub_of(e: int) -> int:
-        return min(rem[X] for X in cover[e])
-
-    def dfs(k: int) -> int:
-        state["nodes"] += 1
-        if state["nodes"] > node_budget:
+    # rem[X] is one more than what s-set X may still add, so choices[e], the
+    # least rem over cover[e], is the number of weights pair e may take; it
+    # is carried and lowered on later[k] as ub is in _run_search.  Once no
+    # s-set has two open pairs (open_sets[k] is empty), the open pairs are
+    # independent and the count is the product of their choices.
+    def dfs(k: int, choices: list[int]) -> int:
+        nonlocal nodes
+        nodes += 1
+        if nodes > node_budget:
             raise BudgetExceededError(
                 f"count({n},{s},{q}) exceeded the node budget of {node_budget}"
             )
         if k == P:
             return 1
-        if state["pending"] == 0:
-            total = 1
-            for e in range(k, P):
-                u = ub_of(e)
-                if u < 0:
-                    return 0
-                total *= u + 1
-            return total
-        ub = ub_of(k)
-        if ub < 0:
-            return 0
+        if not open_sets[k]:
+            return prod(choices[k:])
         total = 0
-        for w in range(ub + 1):
-            for X in cover[k]:
-                rem[X] -= w
-                m[X] -= 1
-                if m[X] == 1:
-                    state["pending"] -= 1
-            total += dfs(k + 1)
-            for X in cover[k]:
+        for w in range(choices[k]):
+            child = choices[:]
+            for X, prs in later[k]:
+                r = rem[X] = rem[X] - w
+                for e in prs:
+                    if r < child[e]:
+                        child[e] = r
+            total += dfs(k + 1, child)
+            for X, _ in later[k]:
                 rem[X] += w
-                if m[X] == 1:
-                    state["pending"] += 1
-                m[X] += 1
         return total
 
-    return dfs(0)
+    return dfs(0, [q + 1] * P)
 
 
 # ---------------------------------------------------------------------------

@@ -63,10 +63,12 @@ class TestPinnedInstances:
 
 class TestAveragingBound:
     def test_sum_closes_at_the_root(self):
-        # floor(15 * C(6,4) / C(4,2)) = 37 is met by a seed construction
-        out = S.max_sum_search(6, 4, 15)
-        assert (out.value, out.optimal, out.stats["nodes"]) == (37, True, 0)
-        assert out.stats["upper"] == 37
+        # the averaging chain (37 and 51) is met by a seed construction; the
+        # one-step bound floor(15 * C(7,4) / C(5,2)) = 52 left n = 7 open
+        for n, value in ((6, 37), (7, 51)):
+            out = S.max_sum_search(n, 4, 15)
+            assert (out.value, out.optimal, out.stats["nodes"]) == (value, True, 0)
+            assert out.stats["upper"] == value
 
     def test_product_seven_vertices_node_count(self):
         out = S.max_product_search(7, 4, 15)
@@ -81,7 +83,7 @@ class TestAveragingBound:
             ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 21053, 8945, 4534, 60466176)),
             ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3797, 2001, 938, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 28146, 16877, 6964, 918330048)),
-            ("sum", 7, 4, 15, 20_000, (51, False, 20001, 13346, 2566, 52)),
+            ("sum", 7, 5, 13, 20_000, (23, False, 20001, 10119, 3040, 26)),
         ],
     )
     def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):
@@ -92,6 +94,26 @@ class TestAveragingBound:
         st = out.stats
         got = (out.value, out.optimal, st["nodes"], st["bound_prunes"], st["symmetry_prunes"], st["upper"])
         assert got == expected
+
+    @pytest.mark.parametrize(
+        "n,q,chain", [(7, 15, 51), (8, 15, 68), (9, 15, 87), (7, 21, 72), (8, 21, 96), (9, 21, 123)]
+    )
+    def test_sum_chain_values(self, n, q, chain):
+        assert S._averaging_chain(n, 4, q, False) == chain
+
+    def test_chain_never_above_one_step_bound(self):
+        for n in range(2, 10):
+            for s in range(2, n + 1):
+                sets, per_pair = math.comb(n, s), math.comb(n - 2, s - 2)
+                for q in range(26):
+                    assert S._averaging_chain(n, s, q, False) <= q * sets // per_pair
+                    cap = S._amgm(q, math.comb(s, 2)) ** sets
+                    assert S._averaging_chain(n, s, q, True) <= S._iroot(cap, per_pair)
+
+    def test_product_chain_step(self):
+        # ex(7,6,41) = 918330048 bounds ex(8,6,41) by the value the engine finds
+        assert S._iroot(918330048**8, 6) == 892616806656
+        assert S._averaging_chain(7, 4, 15, True) == 148111168
 
     def test_integer_root(self):
         for k in (1, 2, 3, 15):
@@ -113,6 +135,14 @@ class TestCounting:
     def test_budget_error_not_wrong_answer(self):
         with pytest.raises(S.BudgetExceededError):
             S.count_graphs(4, 4, 6, node_budget=10)
+        with pytest.raises(S.BudgetExceededError):  # verify all's counting call
+            S.count_graphs(6, 4, 9, 2_000_000)
+
+    def test_node_budget_is_one_per_call(self):
+        # pinned: a change to the node semantics moves where budgets stop
+        assert S.count_graphs(5, 4, 9, node_budget=271_069) == 421_495
+        with pytest.raises(S.BudgetExceededError):
+            S.count_graphs(5, 4, 9, node_budget=271_068)
 
 
 class TestOracle:

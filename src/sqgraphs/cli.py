@@ -154,7 +154,7 @@ def _construct_command(args) -> int:
                 "d": args.d,
                 "n": n,
                 "value": str(opt.value),
-                "density": formulas.density(opt.value, pairs) if pairs else "1.0",
+                "density": formulas.density(opt.value, pairs),
                 "argmax": "/".join(map(str, opt.argmax)),
                 "all_argmax": ";".join("/".join(map(str, c)) for c in opt.all_argmax),
                 "witness": path,
@@ -288,22 +288,14 @@ def _formulas_command(args) -> int:
     return EXIT_OK
 
 
-def _flag_parent(flag: str, **kwargs) -> argparse.ArgumentParser:
-    parent = argparse.ArgumentParser(add_help=False)
-    parent.add_argument(flag, **kwargs)
-    return parent
-
-
-# one parent parser per shared flag; a subcommand copies the actions of
-# exactly the flags its handler reads.  Built once at import, because main
-# builds the whole parser per call and copying an action is cheaper than
-# adding it.
-_FLAG_PARENTS = {
-    "--budget": _flag_parent("--budget", type=_at_least(1), default=search.DEFAULT_NODE_BUDGET, help="node budget for searches and counts"),
-    "--precision": _flag_parent("--precision", type=_at_least(1), default=formulas.DEFAULT_DPS, help="decimal digits for real-valued outputs"),
-    "--cache": _flag_parent("--cache", default=None, help="append-only result cache file"),
-    "--out": _flag_parent("--out", default=".", help="directory for witness and report files"),
-    "--format": _flag_parent("--format", dest="fmt", choices=("text", "csv"), default="text"),
+# add_argument keywords of each flag that several commands share; a
+# subcommand adds exactly the ones its handler reads
+_SHARED_FLAGS = {
+    "--budget": dict(type=_at_least(1), default=search.DEFAULT_NODE_BUDGET, help="node budget for searches and counts"),
+    "--precision": dict(type=_at_least(1), default=formulas.DEFAULT_DPS, help="decimal digits for real-valued outputs"),
+    "--cache": dict(default=None, help="append-only result cache file"),
+    "--out": dict(default=".", help="directory for witness and report files"),
+    "--format": dict(dest="fmt", choices=("text", "csv"), default="text"),
 }
 
 
@@ -316,7 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name: str, desc: str, handler, *flags: str, **defaults) -> argparse.ArgumentParser:
         """Add subcommand ``name`` with exactly the shared ``flags`` its handler reads."""
-        p = sub.add_parser(name, help=desc, parents=[_FLAG_PARENTS[f] for f in flags])
+        p = sub.add_parser(name, help=desc)
+        for flag in flags:
+            p.add_argument(flag, **_SHARED_FLAGS[flag])
         p.set_defaults(handler=handler, **defaults)
         return p
 
@@ -361,12 +355,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# built once per process, at import: main parses every command line with it
+_PARSER = build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     # print exact values in full; process-wide, so callers can parse them back
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:

@@ -1,13 +1,14 @@
 """Nested near-extremal families and product-raising transformations.
 
-The graded family at (params, s) contains the multigraphs that satisfy
-the (s', q_{s'}) sparsity bound for every grade s' from 2 up to s, where
-q_{s'} is the construction optimum at s' vertices.  The saturated
-subfamily additionally requires every weight to be at least a-d and
-every pair at exactly a-d to be a clone pair.  Two transformations move
-a graded member toward the saturated subfamily without ever decreasing
-the total edge product: raising all low weights to a-d, and copying the
-row of the stronger endpoint across each offending minimum-weight pair.
+The graded family of params contains the multigraphs that satisfy the
+(s', q_{s'}) sparsity bound for every grade s' from 2 up to the base
+grade s_base, where q_{s'} is the construction optimum at s' vertices.
+The saturated subfamily additionally requires every weight to be at
+least a-d and every pair at exactly a-d to be a clone pair.  Two
+transformations move a graded member toward the saturated subfamily
+without ever decreasing the total edge product: raising all low weights
+to a-d, and copying the row of the stronger endpoint across each
+offending minimum-weight pair.
 """
 
 from __future__ import annotations
@@ -23,22 +24,20 @@ def grade_bounds(params: Params, s: int) -> dict[int, int]:
     return {sp: max_edge_sum(params, sp).value for sp in range(2, s + 1)}
 
 
-def in_graded_family(G: Multigraph, params: Params, s: int | None = None) -> bool:
-    """True iff G meets the (s', bound(s'))-property for every grade s' <= s.
+def in_graded_family(G: Multigraph, params: Params) -> bool:
+    """True iff G meets the (s', bound(s'))-property for every grade s' <= s_base.
 
-    Grades above the vertex count hold vacuously.  Defaults to the
-    parameters' base grade.
+    Grades above the vertex count hold vacuously.
     """
-    s = params.s_base if s is None else s
-    for sp, bound in grade_bounds(params, s).items():
+    for sp, bound in grade_bounds(params, params.s_base).items():
         if sp <= G.n and not G.satisfies(sp, bound):
             return False
     return True
 
 
-def in_saturated_family(G: Multigraph, params: Params, s: int | None = None) -> bool:
+def in_saturated_family(G: Multigraph, params: Params) -> bool:
     """Graded membership plus: min weight >= a-d, and a-d pairs are clones."""
-    if not in_graded_family(G, params, s):
+    if not in_graded_family(G, params):
         return False
     floor = params.a - params.d
     if G.min_weight() < floor:
@@ -48,7 +47,7 @@ def in_saturated_family(G: Multigraph, params: Params, s: int | None = None) -> 
     )
 
 
-def raise_min_weights(G: Multigraph, params: Params, s: int | None = None) -> Multigraph:
+def raise_min_weights(G: Multigraph, params: Params) -> Multigraph:
     """Lift every weight below a-d up to a-d.
 
     Requires G in the graded family (checked); the result stays in the
@@ -56,14 +55,13 @@ def raise_min_weights(G: Multigraph, params: Params, s: int | None = None) -> Mu
     a time or all at once gives the same graph, so this clamps in one
     pass.
     """
-    s = params.s_base if s is None else s
-    if not in_graded_family(G, params, s):
+    if not in_graded_family(G, params):
         raise ValueError("raise_min_weights requires a graded-family member")
     floor = params.a - params.d
     return Multigraph(G.n, [max(w, floor) for w in G.weights()])
 
 
-def clone_saturate(G: Multigraph, params: Params, s: int | None = None) -> Multigraph:
+def clone_saturate(G: Multigraph, params: Params) -> Multigraph:
     """Clone endpoints across minimum-weight pairs until saturated.
 
     Requires a graded-family member with min weight >= a-d (checked).
@@ -80,9 +78,8 @@ def clone_saturate(G: Multigraph, params: Params, s: int | None = None) -> Multi
     between two sources with equal product-degree, which is why the
     sweep is anchored to one source row.
     """
-    s = params.s_base if s is None else s
     floor = params.a - params.d
-    if G.min_weight() < floor or not in_graded_family(G, params, s):
+    if G.min_weight() < floor or not in_graded_family(G, params):
         raise ValueError(
             "clone_saturate requires a graded-family member with min weight >= a-d"
         )

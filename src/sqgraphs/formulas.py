@@ -72,7 +72,7 @@ def light_part_fraction(params: Params, dps: int = DEFAULT_DPS) -> BigReal:
     return BigReal(val, dps)
 
 
-def light_part_recurrence_residual(a: int, r: int, d: int, dps: int = DEFAULT_DPS) -> float:
+def light_part_recurrence_residual(a: int, r: int, d: int) -> float:
     """Relative residual of the part-fraction recurrence linking r and r+1.
 
     The fraction x(r+1) satisfies x(r+1) = ((r-1+x(r+1))/r) * x(r), which
@@ -80,9 +80,9 @@ def light_part_recurrence_residual(a: int, r: int, d: int, dps: int = DEFAULT_DP
     fixed middle part by cross weight induce the optimal member one part
     smaller.
     """
-    with mp.workdps(dps):
-        x_r = light_part_fraction(Params(a, r, d), dps).value
-        x_r1 = light_part_fraction(Params(a, r + 1, d), dps).value
+    with mp.workdps(DEFAULT_DPS):
+        x_r = light_part_fraction(Params(a, r, d)).value
+        x_r1 = light_part_fraction(Params(a, r + 1, d)).value
         rhs = (r - 1 + x_r1) / r * x_r
         return float(abs(x_r1 - rhs) / x_r1)
 
@@ -229,14 +229,20 @@ def plateau_density(a: int, r: int, dps: int = DEFAULT_DPS) -> BigReal:
     return BigReal(val, dps)
 
 
-def density(value: int, n_pairs: int, digits: int = 12) -> str:
-    """Decimal rendering of value^(1/n_pairs) to the given significant digits."""
-    if n_pairs <= 0:
-        raise ValueError("n_pairs must be positive")
+def density(value: int, n_pairs: int) -> str:
+    """Decimal rendering of value^(1/n_pairs) to 12 significant digits.
+
+    A graph with no pairs (one vertex) has density 1.0, the root of its
+    empty edge product.
+    """
+    if n_pairs < 0:
+        raise ValueError("n_pairs must be >= 0")
     if value < 0:
         raise ValueError("value must be >= 0")
+    if n_pairs == 0:
+        return "1.0"
     if value == 0:
         return "0.0"
-    with mp.workdps(digits + 15):
+    with mp.workdps(27):  # 15 guard digits past the 12 shown
         root = mp.exp(mp.log(value) / n_pairs)
-        return mp.nstr(root, digits)
+        return mp.nstr(root, 12)

@@ -4,8 +4,8 @@ A multigraph here is a complete graph on vertices 0..n-1 where every
 unordered pair carries a nonnegative integer multiplicity (possibly 0).
 A multigraph is an (s,q)-graph when every s-set of vertices supports at
 most q edges counted with multiplicity.  This module provides the graph
-type, exact sum/product queries, weight-level subgraphs, clone tests and
-the shared JSON serialization format.
+type, exact sum/product queries, the sparsity check, clone tests and the
+shared JSON serialization format.
 """
 
 from __future__ import annotations
@@ -62,14 +62,14 @@ class Multigraph:
     __slots__ = ("n", "_w")
 
     def __init__(self, n: int, weights: Iterable[int]):
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"vertex count must be a positive integer, got {n!r}")
         w = tuple(weights)
         expected = n * (n - 1) // 2
         if len(w) != expected:
             raise ValueError(f"expected {expected} weights for n={n}, got {len(w)}")
         for x in w:
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise ValueError(f"weights must be nonnegative integers, got {x!r}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_w", w)
@@ -92,25 +92,11 @@ class Multigraph:
     def constant(cls, n: int, w: int) -> "Multigraph":
         return cls(n, [w] * (n * (n - 1) // 2))
 
-    @classmethod
-    def from_pair_weights(cls, n: int, mapping: dict[tuple[int, int], int]) -> "Multigraph":
-        """Build from an explicit {pair: weight} map; unlisted pairs default to 0."""
-        weights = [0] * (n * (n - 1) // 2)
-        for (i, j), w in mapping.items():
-            cls._check_vertex_static(n, i)
-            cls._check_vertex_static(n, j)
-            weights[pair_rank(i, j)] = w
-        return cls(n, weights)
-
     # -- basic access ------------------------------------------------------
 
-    @staticmethod
-    def _check_vertex_static(n: int, v: int) -> None:
-        if not isinstance(v, int) or not 0 <= v < n:
-            raise ValueError(f"vertex {v!r} out of range 0..{n - 1}")
-
     def _check_vertex(self, v: int) -> None:
-        self._check_vertex_static(self.n, v)
+        if type(v) is not int or not 0 <= v < self.n:
+            raise ValueError(f"vertex {v!r} out of range 0..{self.n - 1}")
 
     def weight(self, u: int, v: int) -> int:
         self._check_vertex(u)
@@ -160,24 +146,6 @@ class Multigraph:
                 return 0
         return out
 
-    def _cross_pairs(self, X: Iterable[int], Y: Iterable[int]) -> list[int]:
-        xs = self._vertex_set(X)
-        ys = self._vertex_set(Y)
-        if set(xs) & set(ys):
-            raise ValueError("cross sets must be disjoint")
-        return [self._w[pair_rank(x, y)] for x in xs for y in ys]
-
-    def cross_sum(self, X: Iterable[int], Y: Iterable[int]) -> int:
-        return sum(self._cross_pairs(X, Y))
-
-    def cross_product(self, X: Iterable[int], Y: Iterable[int]) -> int:
-        out = 1
-        for w in self._cross_pairs(X, Y):
-            out *= w
-            if out == 0:
-                return 0
-        return out
-
     def product_degree(self, v: int) -> int:
         self._check_vertex(v)
         out = 1
@@ -185,26 +153,6 @@ class Multigraph:
             if u != v:
                 out *= self._w[pair_rank(u, v)]
         return out
-
-    # -- weight levels -------------------------------------------------------
-
-    def level_edges(self, m: int) -> frozenset[tuple[int, int]]:
-        """Pairs (i, j), i < j, whose weight is exactly m (an ordinary graph)."""
-        if m < 0:
-            raise ValueError("level must be >= 0")
-        return frozenset(
-            (i, j) for i, j, w in self.pairs() if w == m
-        )
-
-    def level_neighborhood(
-        self, v: int, m: int, within: Iterable[int] | None = None
-    ) -> frozenset[int]:
-        """Vertices x (in `within`, default all) with weight(v, x) exactly m."""
-        self._check_vertex(v)
-        if m < 0:
-            raise ValueError("level must be >= 0")
-        xs = self._vertex_set(within)
-        return frozenset(x for x in xs if x != v and self._w[pair_rank(v, x)] == m)
 
     # -- local sparsity -------------------------------------------------------
 
@@ -278,15 +226,6 @@ class Multigraph:
             if z != u and z != v
         )
 
-    def with_weight(self, u: int, v: int, value: int) -> "Multigraph":
-        self._check_vertex(u)
-        self._check_vertex(v)
-        if value < 0:
-            raise ValueError("weight must be >= 0")
-        new = list(self._w)
-        new[pair_rank(u, v)] = value
-        return Multigraph(self.n, new)
-
     def copied_row(self, source: int, target: int) -> "Multigraph":
         """New graph where target's weights to third vertices are copied from source.
 
@@ -315,7 +254,7 @@ class Multigraph:
         if not isinstance(data, dict) or "n" not in data or "edges" not in data:
             raise ValueError("multigraph document needs fields 'n' and 'edges'")
         n = data["n"]
-        if not isinstance(n, int) or n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError(f"invalid vertex count {n!r}")
         expected = n * (n - 1) // 2
         weights: list[int | None] = [None] * expected
@@ -326,10 +265,8 @@ class Multigraph:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise ValueError(f"bad edge entry {entry!r}")
             i, j, w = entry
-            if not (isinstance(i, int) and isinstance(j, int) and 0 <= i < j < n):
+            if not (type(i) is int and type(j) is int and 0 <= i < j < n):
                 raise ValueError(f"bad pair ({i!r}, {j!r}) for n={n}")
-            if not isinstance(w, int) or w < 0:
-                raise ValueError(f"bad weight {w!r} on pair ({i}, {j})")
             r = pair_rank(i, j)
             if weights[r] is not None:
                 raise ValueError(f"pair ({i}, {j}) listed twice")
@@ -340,18 +277,3 @@ class Multigraph:
     def loads(cls, text: str) -> "Multigraph":
         return cls.from_dict(json.loads(text))
 
-
-def common_level_neighborhood(G: Multigraph, W: Iterable[int], m: int) -> frozenset[int]:
-    """Vertices outside W joined to every member of W by weight exactly m."""
-    ws = sorted(set(W))
-    if not ws:
-        raise ValueError("W must be nonempty")
-    for v in ws:
-        G._check_vertex(v)
-    rest = [v for v in range(G.n) if v not in set(ws)]
-    out = frozenset(rest)
-    for v in ws:
-        out &= G.level_neighborhood(v, m, within=rest)
-        if not out:
-            break
-    return out

@@ -90,7 +90,6 @@ def _sorted(reports: list[CheckReport]) -> list[CheckReport]:
 def conjecture_checks(
     params: Params,
     n_values: list[int],
-    s: int | None = None,
     node_budget: int = DEFAULT_NODE_BUDGET,
     dps: int = 30,
 ) -> list[CheckReport]:
@@ -99,7 +98,7 @@ def conjecture_checks(
     Dominance (search >= construction) is hard; equality and the density
     trend are reported-only.  Budget-bound rows are inconclusive.
     """
-    s = params.s_base if s is None else s
+    s = params.s_base
     q = max_edge_sum(params, s).value
     limit = formulas.construction_density_limit(params, dps)
     out: list[CheckReport] = []
@@ -147,17 +146,11 @@ def conjecture_checks(
 # ---------------------------------------------------------------------------
 
 
-def identity_checks(
-    a_max: int = 6,
-    r_max: int = 5,
-    d_max: int | None = None,
-    recurrence_a_max: int = 20,
-    recurrence_r_max: int = 10,
-) -> list[CheckReport]:
+def identity_checks(a_max: int = 6, r_max: int = 5) -> list[CheckReport]:
     out: list[CheckReport] = []
     for a in range(1, a_max + 1):
         for r in range(2, r_max + 1):
-            for d in range(0, a if d_max is None else min(a, d_max + 1)):
+            for d in range(0, a):
                 params = Params(a, r, d)
                 s_base = params.s_base
                 point = f"a={a} r={r} d={d}"
@@ -228,8 +221,8 @@ def identity_checks(
     # recurrence of the optimal light-part fraction
     worst = 0.0
     worst_point = ""
-    for a in range(2, recurrence_a_max + 1):
-        for r in range(2, recurrence_r_max + 1):
+    for a in range(2, 21):
+        for r in range(2, 11):
             for d in range(1, min(a - 1, 5) + 1):
                 res = formulas.light_part_recurrence_residual(a, r, d)
                 if res > worst:
@@ -237,7 +230,7 @@ def identity_checks(
     out.append(
         CheckReport(
             "part_fraction_recurrence",
-            f"a=2..{recurrence_a_max} r=2..{recurrence_r_max} d<=5",
+            "a=2..20 r=2..10 d<=5",
             PASS if worst < 1e-12 else FAIL,
             f"{worst:.3e}", "1e-12",
             f"worst residual at {worst_point}",
@@ -251,27 +244,21 @@ def identity_checks(
 # ---------------------------------------------------------------------------
 
 
-def condition_checks(
-    a_max_small: int = 200,
-    a_max_grid: int = 50,
-    d_max: int = 6,
-    cross_a_max: int = 100,
-    cross_r_max: int = 100,
-) -> list[CheckReport]:
+def condition_checks() -> list[CheckReport]:
     out: list[CheckReport] = []
 
-    worst = max(formulas.min_part_size(a, 1) for a in range(2, a_max_small + 1))
+    worst = max(formulas.min_part_size(a, 1) for a in range(2, 201))
     out.append(
         CheckReport(
-            "min_part_size_deficiency_one", f"a=2..{a_max_small} d=1",
+            "min_part_size_deficiency_one", "a=2..200 d=1",
             PASS if worst <= 3 else FAIL, str(worst), "3",
             "largest minimal part size observed",
         )
     )
 
     bad = ""
-    for d in range(1, d_max + 1):
-        for a in range(d + 1, a_max_grid + 1):
+    for d in range(1, 7):
+        for a in range(d + 1, 51):
             if formulas.min_part_size(a, d) > d * (1 + d + d * d):
                 bad = f"a={a} d={d}"
                 break
@@ -279,19 +266,19 @@ def condition_checks(
             break
     out.append(
         CheckReport(
-            "min_part_size_cubic_bound", f"d=1..{d_max} a<=({a_max_grid})",
+            "min_part_size_cubic_bound", "d=1..6 a<=(50)",
             PASS if not bad else FAIL, "", "d(1+d+d^2)", bad or "all within bound",
         )
     )
 
     ok = all(
         formulas.cross_gain_condition(a, r, 1)
-        for a in range(2, cross_a_max + 1)
-        for r in range(2, cross_r_max + 1)
+        for a in range(2, 101)
+        for r in range(2, 101)
     )
     out.append(
         CheckReport(
-            "cross_gain_deficiency_one", f"a=2..{cross_a_max} r=2..{cross_r_max} d=1",
+            "cross_gain_deficiency_one", "a=2..100 r=2..100 d=1",
             PASS if ok else FAIL, "", "", "exact integer comparisons",
         )
     )
@@ -358,14 +345,12 @@ def counting_checks(
 # ---------------------------------------------------------------------------
 
 
-def sample_graded_member(
-    params: Params, n: int, rng: random.Random, max_tries: int = 400
-) -> Multigraph | None:
-    """Rejection-sample a graded-family member around the constant-a graph."""
+def sample_graded_member(params: Params, n: int, rng: random.Random) -> Multigraph | None:
+    """Rejection-sample a graded-family member around the constant-a graph (400 tries)."""
     a, d = params.a, params.d
     lo, hi = max(0, a - d - 1), a + 1
     pair_count = n * (n - 1) // 2
-    for _ in range(max_tries):
+    for _ in range(400):
         weights = [
             a if rng.random() < 0.6 else rng.randint(lo, hi) for _ in range(pair_count)
         ]
@@ -375,23 +360,18 @@ def sample_graded_member(
     return None
 
 
-def transformation_checks(
-    points: list[tuple[int, int, int]] | None = None,
-    n: int = 6,
-    trials: int = 1000,
-    seed: int = 20240817,
-) -> list[CheckReport]:
+def transformation_checks(trials: int = 1000, seed: int = 20240817) -> list[CheckReport]:
     """Randomized properties of raise_min_weights followed by clone_saturate.
 
-    Per parameter point: the edge product never decreases, the result is
-    a saturated member, and clone pairs of the input stay clones.  The
-    last property mirrors a claim made alongside the transformation's
-    construction; see the row note for the first counterexample when it
-    fails.
+    Per parameter point, on 6-vertex samples: the edge product never
+    decreases, the result is a saturated member, and clone pairs of the
+    input stay clones.  The last property mirrors a claim made alongside
+    the transformation's construction; see the row note for the first
+    counterexample when it fails.
     """
-    points = points or [(2, 2, 1), (3, 2, 1), (3, 2, 2)]
+    n = 6
     out: list[CheckReport] = []
-    for a, r, d in points:
+    for a, r, d in ((2, 2, 1), (3, 2, 1), (3, 2, 2)):
         params = Params(a, r, d)
         rng = random.Random((seed, a, r, d).__hash__())
         point = f"a={a} r={r} d={d} n={n} trials={trials}"

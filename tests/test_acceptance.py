@@ -162,15 +162,12 @@ def test_criterion_6_identity_suite():
     _report("6", f"difference/monotonicity/threshold identities exact in {elapsed:.1f}s")
 
 
-_TRANSFORM_POINTS = [(2, 2, 1), (3, 2, 1), (3, 2, 2)]
 _TRANSFORM_ROWS: list[V.CheckReport] = []
 
 
 def _transformation_rows() -> list[V.CheckReport]:
     if not _TRANSFORM_ROWS:
-        _TRANSFORM_ROWS.extend(
-            V.transformation_checks(points=_TRANSFORM_POINTS, n=6, trials=1000)
-        )
+        _TRANSFORM_ROWS.extend(V.transformation_checks(trials=1000))
     return _TRANSFORM_ROWS
 
 

@@ -126,6 +126,24 @@ class TestSearchCommands:
         code, out, _ = run(capsys, *argv)
         assert record_fields(out)["source"] == "cache"
 
+    def test_cache_boolean_weight_is_searched_again(self, capsys, tmp_path):
+        # JSON true is no integer weight, though Python would count it as 1
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("exsum", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        run(capsys, *argv)
+        rec = json.loads(open(cache).read())
+        edge = rec["witness"]["edges"][0]
+        assert edge[2] >= 1
+        rec["value"] = str(int(rec["value"]) - edge[2] + 1)
+        edge[2] = True
+        with open(cache, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert fields["source"] == "search" and fields["value"] == "15"
+        assert len(open(cache).read().splitlines()) == 3
+
     def test_count_ignores_cache(self, capsys, tmp_path):
         # a count record has no witness to re-check, so count has no --cache
         # flag: an edited record can be neither served nor added to

@@ -53,16 +53,16 @@ def graph_from_sizes(params: Params, sizes) -> Multigraph:
         part_of.extend([idx] * v)
     n = len(part_of)
     a, d = params.a, params.d
-    pairs = {}
+    edges = []
     for i in range(n):
         for j in range(i + 1, n):
             if part_of[i] != part_of[j]:
-                pairs[(i, j)] = a + 1
+                edges.append([i, j, a + 1])
             elif part_of[i] == 0:
-                pairs[(i, j)] = a - d
+                edges.append([i, j, a - d])
             else:
-                pairs[(i, j)] = a
-    return Multigraph.from_pair_weights(n, pairs)
+                edges.append([i, j, a])
+    return Multigraph.from_dict({"n": n, "edges": edges})
 
 
 class TestBuilder:

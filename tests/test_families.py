@@ -43,13 +43,13 @@ class TestMembership:
 
     def test_low_weight_blocks_saturation(self):
         params = Params(3, 2, 2)
-        G = Multigraph.constant(5, 3).with_weight(0, 1, 0)
+        G = Multigraph(5, [0] + [3] * 9)  # pair {0, 1} at weight 0
         assert in_graded_family(G, params)
         assert not in_saturated_family(G, params)
 
     def test_min_weight_pair_must_be_clones(self):
         params = Params(2, 2, 1)
-        G = Multigraph.constant(5, 2).with_weight(0, 1, 1).with_weight(0, 2, 3)
+        G = Multigraph(5, [1, 3] + [2] * 8)  # pairs {0, 1} and {0, 2} at 1 and 3
         assert in_graded_family(G, params)
         # 0 and 1 are joined at the floor but disagree on vertex 2
         assert not G.are_clones(0, 1)
@@ -123,13 +123,15 @@ class TestCloneSaturate:
         # a light vertex tied at the floor to two different stronger rows;
         # re-picking the source pair by pair would oscillate between them
         params = Params(2, 2, 1)
-        G = Multigraph.from_pair_weights(
-            6,
+        G = Multigraph.from_dict(
             {
-                (0, 1): 3, (0, 2): 1, (1, 2): 3, (0, 3): 1, (1, 3): 2,
-                (2, 3): 1, (0, 4): 1, (1, 4): 2, (2, 4): 2, (3, 4): 3,
-                (0, 5): 2, (1, 5): 2, (2, 5): 2, (3, 5): 2, (4, 5): 2,
-            },
+                "n": 6,
+                "edges": [
+                    [0, 1, 3], [0, 2, 1], [1, 2, 3], [0, 3, 1], [1, 3, 2],
+                    [2, 3, 1], [0, 4, 1], [1, 4, 2], [2, 4, 2], [3, 4, 3],
+                    [0, 5, 2], [1, 5, 2], [2, 5, 2], [3, 5, 2], [4, 5, 2],
+                ],
+            }
         )
         assert in_graded_family(G, params) and G.min_weight() == 1
         final = clone_saturate(G, params)
@@ -142,8 +144,11 @@ class TestCloneSaturate:
         # 0 from 1 at entry 2, so the clone pair does not survive even
         # though the result is saturated and the product grows.
         params = Params(2, 2, 1)
-        G = Multigraph.from_pair_weights(
-            4, {(0, 1): 3, (0, 2): 1, (0, 3): 2, (1, 2): 1, (1, 3): 2, (2, 3): 2}
+        G = Multigraph.from_dict(
+            {
+                "n": 4,
+                "edges": [[0, 1, 3], [0, 2, 1], [0, 3, 2], [1, 2, 1], [1, 3, 2], [2, 3, 2]],
+            }
         )
         assert in_graded_family(G, params)
         assert G.are_clones(0, 1)

@@ -253,3 +253,4 @@ def test_density_rendering():
     assert F.density(216, 6).startswith("2.449489742")
     assert F.density(64, 6) == "2.0"
     assert F.density(0, 10) == "0.0"
+    assert F.density(0, 0) == F.density(1, 0) == "1.0"  # one vertex, no pairs

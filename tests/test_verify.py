@@ -69,14 +69,13 @@ class TestCountingSuite:
 
 class TestTransformationSuite:
     def test_statuses_and_determinism(self):
-        rows1 = V.transformation_checks(points=[(2, 2, 1)], trials=60, seed=7)
-        rows2 = V.transformation_checks(points=[(2, 2, 1)], trials=60, seed=7)
+        rows1 = V.transformation_checks(trials=60, seed=7)
+        rows2 = V.transformation_checks(trials=60, seed=7)
         assert [(r.name, r.status, r.note) for r in rows1] == [
             (r.name, r.status, r.note) for r in rows2
         ]
-        by = {r.name: r for r in rows1}
-        assert by["transform_product_monotone"].status == V.PASS
-        assert by["transform_lands_saturated"].status == V.PASS
+        provable = ("transform_product_monotone", "transform_lands_saturated")
+        assert all(r.status == V.PASS for r in rows1 if r.name in provable)
 
     def test_sampler_yields_members(self):
         rng = random.Random(5)
@@ -93,7 +92,7 @@ class TestRegistryAndReports:
         rows += V.identity_checks(a_max=3, r_max=3)
         rows += V.condition_checks()
         rows += V.counting_checks(4, 2, 2)
-        rows += V.transformation_checks(points=[(2, 2, 1)], trials=20)
+        rows += V.transformation_checks(trials=20)
         for r in rows:
             assert r.name in V.CHECK_KINDS
             kind, rationale = V.CHECK_KINDS[r.name]

@@ -392,77 +392,96 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 18
+_CHUNK = 1 << 15  # assignments per step: about 20 MB of temporaries at n = 5
+_IDX = 1 << 31  # indices and values stay below it (see brute_force)
 
 
-# room for every cap 0..q of a q-inner sweep (criterion 1 uses 0..15), so
-# the sweep for the next s reuses the tables instead of rebuilding them
-@lru_cache(maxsize=32)
-def _bf_table(n: int, cap: int, budget: int) -> dict[int, dict]:
-    """Exhaustive per-(n, cap) enumeration, aggregated by max s-set sum.
+def _level_radices(c: int, j: int, P: int) -> list[int]:
+    """Digit radices of block j of level c: entries before j are < c, entry j
+    is c (radix 1, digit 0, set afterwards), later entries are <= c."""
+    return [c] * j + [1] + [c + 1] * (P - 1 - j)
 
-    For every s in 2..n and every possible value m of the maximum s-set
-    sum, records how many assignments attain it and the best total
-    sum/product among them (with a witness index).  Queries for any
-    q <= cap then reduce to prefix aggregation.
+
+@lru_cache(maxsize=None)
+def _bf_table(n: int) -> dict:
+    """Exhaustive enumeration on n vertices, grown by _bf_grow one level at a time.
+
+    Level c holds the (c+1)^P - c^P assignments whose largest entry is
+    exactly c, as P blocks: in block j the first entry equal to c is entry
+    j.  An assignment's index is c^P plus its offset in the level (blocks
+    in order, then digits of _level_radices, least significant first), so
+    it does not depend on how far the table has grown.  For every s in
+    2..n, tables[s][:, c, m] records how many level-c assignments have
+    maximum s-set sum m, and the best total sum and product among them,
+    each encoded as value * _IDX + (_IDX - 1 - index): the largest code
+    is the largest value at the smallest index.
     """
     P = n * (n - 1) // 2
-    radix = cap + 1
-    total = radix ** P
-    if total > budget:
-        raise BudgetExceededError(
-            f"brute force over {total} assignments exceeds the budget of {budget}"
-        )
-    shift = total + 1
-    if (cap * P + 1) * shift >= 1 << 62 or (cap ** P + 1) * shift >= 1 << 62:
-        raise BudgetExceededError(
-            "instance too large for exact vectorized enumeration"
-        )
-
-    incidence = {}
+    rows, incidence = {}, []
     for s in range(2, n + 1):
-        rows = []
+        start = len(incidence)
         for X in combinations(range(n), s):
-            row = np.zeros(P, dtype=np.int64)
-            for u, v in combinations(X, 2):
-                row[pair_rank(u, v)] = 1
-            rows.append(row)
-        incidence[s] = np.array(rows)
-
-    tables = {
-        s: {
-            "count": np.zeros(cap * s * (s - 1) // 2 + 1, dtype=np.int64),
-            "enc_sum": np.full(cap * s * (s - 1) // 2 + 1, -1, dtype=np.int64),
-            "enc_prod": np.full(cap * s * (s - 1) // 2 + 1, -1, dtype=np.int64),
-        }
-        for s in range(2, n + 1)
-    }
-
-    pows = radix ** np.arange(P, dtype=np.int64)
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        W = (idx[:, None] // pows[None, :]) % radix
-        sums = W.sum(axis=1)
-        prods = np.multiply.reduce(W, axis=1)
-        tiebreak = total - idx  # larger means smaller index
-        enc_sum = sums * shift + tiebreak
-        enc_prod = prods * shift + tiebreak
-        for s in range(2, n + 1):
-            mvals = (W @ incidence[s].T).max(axis=1)
-            tab = tables[s]
-            tab["count"] += np.bincount(mvals, minlength=len(tab["count"]))
-            np.maximum.at(tab["enc_sum"], mvals, enc_sum)
-            np.maximum.at(tab["enc_prod"], mvals, enc_prod)
-    return {"tables": tables, "total": total, "shift": shift, "radix": radix}
+            row = np.zeros(P)
+            row[[pair_rank(u, v) for u, v in combinations(X, 2)]] = 1
+            incidence.append(row)
+        rows[s] = slice(start, len(incidence))
+    empty = np.zeros((3, 0, 0), dtype=np.int64)
+    return {"cap": -1, "incidence": np.array(incidence), "rows": rows,
+            "tables": dict.fromkeys(rows, empty)}
 
 
-def _decode_assignment(n: int, idx: int, radix: int) -> Multigraph:
+def _bf_grow(n: int, cap: int) -> dict[int, np.ndarray]:
+    """The tables of n by s, enumerated up to level cap."""
+    table = _bf_table(n)
+    tables, done = table["tables"], table["cap"] + 1
     P = n * (n - 1) // 2
+    if cap >= done:
+        # rows past the last finished level start fresh, so a growth that
+        # was interrupted is redone from its unfinished level
+        for s, old in tables.items():
+            tables[s] = np.full((3, cap + 1, cap * s * (s - 1) // 2 + 1), -1, dtype=np.int64)
+            tables[s][0] = 0
+            tables[s][:, :done, : old.shape[2]] = old[:, :done]
+    for c in range(done, cap + 1):
+        start = c**P
+        for j in range(P):
+            # int32 digits: offsets stay below _IDX (see brute_force)
+            radix = _level_radices(c, j, P)
+            radices = np.array(radix, dtype=np.int32)[:, None]
+            strides = np.array([prod(radix[:i]) for i in range(P)], dtype=np.int32)[:, None]
+            block = c**j * (c + 1) ** (P - 1 - j)
+            for lo in range(0, block, _CHUNK):
+                off = np.arange(lo, min(lo + _CHUNK, block), dtype=np.int32)
+                W = off // strides % radices
+                W[j] = c
+                tiebreak = (_IDX - 1 - start) - off.astype(np.int64)
+                enc_sum = W.sum(axis=0, dtype=np.int64) * _IDX + tiebreak
+                enc_prod = np.multiply.reduce(W, axis=0, dtype=np.int64) * _IDX + tiebreak
+                # s-set sums are below _IDX, so exact in float64
+                setsums = table["incidence"] @ W.astype(np.float64)
+                for s, tab in tables.items():
+                    m = setsums[table["rows"][s]].max(axis=0).astype(np.int64)
+                    tab[0, c] += np.bincount(m, minlength=tab.shape[2])
+                    np.maximum.at(tab[1, c], m, enc_sum)
+                    np.maximum.at(tab[2, c], m, enc_prod)
+            start += block
+        table["cap"] = c
+    return tables
+
+
+def _decode_assignment(n: int, idx: int) -> Multigraph:
+    P = n * (n - 1) // 2
+    c = _iroot(idx, P)
+    off, j = idx - c**P, 0
+    while off >= c**j * (c + 1) ** (P - 1 - j):
+        off -= c**j * (c + 1) ** (P - 1 - j)
+        j += 1
     weights = []
-    for _ in range(P):
-        idx, w = divmod(idx, radix)
+    for radix in _level_radices(c, j, P):
+        off, w = divmod(off, radix)
         weights.append(w)
-    # index decodes least-significant pair first, matching colex pair order
+    weights[j] = c
+    # entries decode in pair-rank order, matching colex pair order
     return Multigraph(n, weights)
 
 
@@ -477,9 +496,11 @@ def brute_force(
     """Full enumeration over all weight assignments with entries <= weight_cap.
 
     No pruning beyond the per-edge cap: every one of the (cap+1)^C(n,2)
-    assignments is generated and tested.  With weight_cap = q the result
-    is the unrestricted optimum, since any pair lies inside an s-set.
-    Used only to validate the pruned engines.
+    assignments is generated and tested, once per n, as the table of n
+    grows level by level.  With weight_cap = q the result is the
+    unrestricted optimum, since any pair lies inside an s-set.  Ties go
+    to the assignment of smallest index (see _bf_table).  Used only to
+    validate the pruned engines.
     """
     t0 = time.perf_counter()
     _validate(n, s, q)
@@ -488,29 +509,38 @@ def brute_force(
     if weight_cap < 0:
         raise ValueError("weight_cap must be >= 0")
 
-    data = _bf_table(n, weight_cap, budget)
-    tab = data["tables"][s]
-    hi = min(q, len(tab["count"]) - 1)
+    P = n * (n - 1) // 2
+    total = (weight_cap + 1) ** P
+    cells = (weight_cap + 1) * (weight_cap * P + 1)  # rows x columns at s = n
+    if max(total, cells) > budget:
+        raise BudgetExceededError(
+            f"brute force over {total} assignments in a table of {cells} cells"
+            f" exceeds the budget of {budget}"
+        )
+    # every index, sum and product is then below _IDX, so codes fit in int64
+    if total >= _IDX:
+        raise BudgetExceededError(
+            "instance too large for exact vectorized enumeration"
+        )
+
+    tab = _bf_grow(n, weight_cap)[s][:, : weight_cap + 1, : q + 1]
     stats = {
-        "nodes": data["total"],
+        "nodes": total,
         "bound_prunes": 0,
         "symmetry_prunes": 0,
         "source": "oracle",
     }
 
     if mode == "count":
-        value = int(tab["count"][: hi + 1].sum())
+        value = int(tab[0].sum())
         stats["wall_time"] = time.perf_counter() - t0
         return SearchOutcome("count", value, None, True, stats)
 
-    enc = tab["enc_sum"] if mode == "sum" else tab["enc_prod"]
-    best = int(enc[: hi + 1].max())
+    best = int(tab[1 if mode == "sum" else 2].max())
     if best < 0:
         raise RuntimeError("no feasible assignment found (unreachable: 0 is feasible)")
-    shift = data["shift"]
-    value = best // shift
-    idx = data["total"] - (best % shift)
-    witness = _decode_assignment(n, idx, data["radix"])
+    value, code = divmod(best, _IDX)
+    witness = _decode_assignment(n, _IDX - 1 - code)
     if witness.find_violation(s, q) is not None:
         raise RuntimeError("oracle produced an infeasible witness")
     if _graph_value(witness, mode) != value:

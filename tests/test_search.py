@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -158,8 +158,63 @@ class TestOracle:
             assert tight == loose
 
     def test_budget_guard(self):
+        S._bf_table.cache_clear()
         with pytest.raises(S.BudgetExceededError):
             S.brute_force(5, 3, 9, "sum", 9, budget=1000)
+        assert S._bf_table(5)["cap"] == -1  # refused before enumerating
+        value = S.brute_force(5, 3, 2, "sum", 2).value
+        assert value == S.max_sum_search(5, 3, 2).value
+        # the budget gates a query; it does not key the table
+        misses = S._bf_table.cache_info().misses
+        assert S.brute_force(5, 3, 2, "sum", 2, budget=10**6).value == value
+        assert S._bf_table.cache_info().misses == misses
+        with pytest.raises(S.BudgetExceededError):  # (cap+1)^2 table cells at n = 2
+            S.brute_force(2, 2, 10**4, "sum", 10**4)
+
+    def test_witness_does_not_depend_on_cap(self):
+        cases = [(s, q, mode) for s in (2, 3, 4) for q in (3, 5, 7) for mode in ("sum", "product")]
+        fresh = {}
+        for s, q, mode in cases:
+            S._bf_table.cache_clear()
+            out = S.brute_force(4, s, q, mode, q)
+            fresh[s, q, mode] = out.value, out.witness.weights()
+        S.brute_force(4, 2, 12, "sum", 12)  # grows the n = 4 table to cap 12
+        for s, q, mode in cases:
+            out = S.brute_force(4, s, q, mode, q)
+            assert (out.value, out.witness.weights()) == fresh[s, q, mode]
+        # a larger cap only adds assignments of larger index
+        ties = 0
+        for s in (2, 3, 4):
+            for mode in ("sum", "product"):
+                for c in range(10):
+                    lo, hi = (S.brute_force(4, s, 9, mode, cap) for cap in (c, c + 3))
+                    if lo.value == hi.value:
+                        assert lo.witness.weights() == hi.witness.weights()
+                        ties += 1
+        assert ties >= 6
+
+    @pytest.mark.parametrize("n,cap", [(3, 3), (4, 2)])
+    def test_matches_loop_enumeration(self, n, cap):
+        """Value, count and smallest-index witness against a plain loop over
+        the assignments in index order: by largest entry c, then by the
+        first entry equal to c, then least significant entry first."""
+        P = n * (n - 1) // 2
+        order = []
+        for c in range(cap + 1):
+            for j in range(P):
+                for high in product(range(c + 1), repeat=P - 1 - j):
+                    for low in product(range(c), repeat=j):
+                        order.append(Multigraph(n, [*low[::-1], c, *high[::-1]]))
+        assert len({g.weights() for g in order}) == len(order) == (cap + 1) ** P
+        for s in range(2, n + 1):
+            for q in range(7):
+                feasible = [g for g in order if g.satisfies(s, q)]
+                assert S.brute_force(n, s, q, "count", cap).value == len(feasible)
+                for mode in ("sum", "product"):
+                    best = max(feasible, key=lambda g: S._graph_value(g, mode))  # first maximum
+                    out = S.brute_force(n, s, q, mode, cap)
+                    assert out.value == S._graph_value(best, mode)
+                    assert out.witness.weights() == best.weights()
 
     def test_witness_is_sound(self):
         out = S.brute_force(4, 3, 7, "product", 7)
@@ -180,6 +235,14 @@ class TestEngineAgainstOracle:
                 == S.brute_force(n, s, q, "sum", q).value
             )
             assert S.count_graphs(n, s, q) == S.brute_force(n, s, q, "count", q).value
+
+    def test_values_agree_at_n5(self):
+        # 5^10 assignments at cap 4; n = 6 (3^15 at cap 2) is left out for time
+        for s in range(2, 6):
+            for q in range(5):
+                assert S.max_product_search(5, s, q).value == S.brute_force(5, s, q, "product", q).value
+                assert S.max_sum_search(5, s, q).value == S.brute_force(5, s, q, "sum", q).value
+                assert S.count_graphs(5, s, q) == S.brute_force(5, s, q, "count", q).value
 
 
 class TestEngineContracts:

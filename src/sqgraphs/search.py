@@ -37,8 +37,8 @@ class BudgetExceededError(RuntimeError):
     """Raised when an exact computation would exceed its resource budget."""
 
 
-class _BudgetHit(Exception):
-    pass
+class _Stop(Exception):
+    """Unwinds the search: the budget ran out or the incumbent met `upper`."""
 
 
 class CacheWarning(UserWarning):
@@ -50,9 +50,10 @@ class SearchOutcome:
     """Result of one extremal computation.
 
     value is exact; witness (when present) realizes it and satisfies the
-    sparsity bound.  optimal=False marks a budget-bound run whose value
-    is only a lower bound; stats["upper"] then bounds the optimum from
-    above (it equals value when optimal).
+    sparsity bound.  optimal=False marks a run whose budget ran out before
+    the incumbent met the root bound: value is then only a lower bound,
+    and stats["upper"] bounds the optimum from above (it equals value
+    when optimal).
     """
 
     mode: str
@@ -84,8 +85,15 @@ def _iroot(x: int, k: int) -> int:
 
 
 def _averaging_chain(n: int, s: int, q: int, product: bool) -> int:
-    """Upper bound on the optimum over (s,q)-graphs on n vertices: the
-    recursive averaging chain over t = s+1..n (soundness in _run_search)."""
+    """Upper bound on the optimum over (s,q)-graphs on n vertices.
+
+    Recursive Katona chain: an (s,q)-graph on t vertices restricts to an
+    (s,q)-graph on each of its t (t-1)-subsets, and each pair lies in t-2
+    of them, so (t-2)*ex(t) <= t*ex(t-1) for sums and ex(t)**(t-2) <=
+    ex(t-1)**t for products.  From ex(s) <= q, or _amgm(q, C(s,2)) for
+    products, each step is floored up to t = n.  The result is never above
+    the one-step Katona bound from t = s straight to t = n.
+    """
     u = _amgm(q, s * (s - 1) // 2) if product else q
     for t in range(s + 1, n + 1):
         u = _iroot(u**t, t - 2) if product else t * u // (t - 2)
@@ -184,7 +192,7 @@ def _run_search(
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
     product = mode == "product"
-    wlo = 1 if (product and q >= spairs) else 0
+    wlo = 1 if product else 0
 
     sset_pairs, cover = _layout(n, s)
     open_sets, later = _depth_tables(n, s)
@@ -200,50 +208,39 @@ def _run_search(
     sym = _sym_tables(n)
     nodes = bound_prunes = symmetry_prunes = 0
 
-    # rem[X] is what s-set X may still add to its sum; at depth k its m open
-    # pairs are its pairs >= k.  Pair bound: an open pair of X takes at most
-    # X's slack rem[X] - (m-1)*wlo, as X's other open pairs take >= wlo each.
-    # ub[e] is the least slack over cover[e]; ub[e] < wlo prunes.  Setting
-    # pair k to w >= wlo moves only the slacks of cover[k], each by wlo - w
-    # <= 0, so a child lowers ub on those sets' later pairs and ub stays exact.
-    # Total bound: the open pairs add at most acc*prod(ub) (acc+sum(ub)).
-    # Per-set bound: X's open pairs jointly add at most am[X] = _amgm(rem[X],
-    # m), kept in product mode (rem[X] for sums), which may replace the product
-    # (sum) of their ub in the total bound.  If m = 1, am[X] = max(rem[X], 0)
-    # >= rem[X] >= ub[e], so the test cannot fire and is skipped.
-    # Root bound (recursive Katona chain): an (s,q)-graph on t vertices
-    # restricts to an (s,q)-graph on each of its t (t-1)-subsets, and each
-    # pair lies in t-2 of them.  Sum: (t-2)*ex(t) <= t*ex(t-1).  Product:
-    # ex(t)**(t-2) <= ex(t-1)**t.  From ex(s) <= q, or _amgm(q, C(s,2)) for
-    # products, `upper` floors each step up to t = n, so it bounds every
-    # completion and is never above the one-step q*C(n,s) // C(n-2,s-2) or
-    # _iroot(cap, per_pair).  Once inc_val reaches it, no node can beat it.
-    # Averaging bound (Katona): every pair lies in per_pair = C(n-2, s-2)
-    # s-sets, so prod_X am[X] counts each open pair's factor per_pair times:
-    # the product R still to assign has R**per_pair <= cap = prod_X am[X]; a
-    # child rescales cap exactly on cover[k].  acc * R > inc_val needs
-    # R >= inc_val // acc + 1, so (inc_val // acc + 1)**per_pair > cap prunes.
+    # wlo is the least weight tried: a product search with q < C(s,2) has
+    # upper == 0 and never starts.  rem[X] is what s-set X may still add to
+    # its sum; at depth k its m open pairs are its pairs >= k, and one of them
+    # takes at most X's slack rem[X] - (m-1)*wlo, as the others take >= wlo
+    # each.  ub[e] is the least slack over cover[e].  Setting pair k to w <=
+    # ub[k] leaves each X in cover[k] the slack rem[X] - w - (m-2)*wlo >= wlo
+    # on its later pairs, which the child's ub takes as a new minimum; so
+    # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.
     per_pair = len(cover[0])
     cap = am[0] ** S
     upper = _averaging_chain(n, s, q, product)
 
     def prune_by_bound(k: int, acc: int, cap: int, ub: list[int]) -> bool:
-        if upper <= inc_val:
-            return True
-        if product and (acc == 0 or (inc_val // acc + 1) ** per_pair > cap):
-            return True
         ubs = ub[k:]
-        if min(ubs) < wlo:
-            return True
         if product:
+            # Katona cap: am[X] = _amgm(rem[X], m) bounds the product of X's
+            # open pairs, each in per_pair = C(n-2, s-2) s-sets, so beating
+            # inc_val needs an open product R > inc_val // acc with
+            # R**per_pair <= cap = prod_X am[X]
+            if (inc_val // acc + 1) ** per_pair > cap:
+                return True
+            # total: each open pair e takes at most ub[e]
             base = acc * prod(ubs)
             if base <= inc_val:
                 return True
+            # per-set: am[X] may replace the product of X's ub (open_sets
+            # omits X with m = 1, where am[X] = rem[X] >= ub[e])
             for X, get in open_sets[k]:
                 px = prod(get(ub))
                 if am[X] < px and (base // px) * am[X] <= inc_val:
                     return True
             return False
+        # total and per-set, as above: X's open pairs add at most rem[X]
         base = acc + sum(ubs)
         if base <= inc_val:
             return True
@@ -272,18 +269,19 @@ def _run_search(
             if acc > inc_val:
                 inc_val = acc
                 inc_wit = Multigraph(n, W)
+                if inc_val >= upper:  # no completion beats the root bound
+                    raise _Stop
             return
         if prune_by_bound(k, acc, cap, ub):
             bound_prunes += 1
             return
         if product:
-            # nonzero: a zero factor makes cap 0, which prune_by_bound prunes
             olds = [am[X] for X in cover[k]]
-            old = prod(olds)
+            old = prod(olds)  # nonzero: every am[X] >= 1
         for w in range(ub[k], wlo - 1, -1):
             nodes += 1
             if nodes > node_budget:
-                raise _BudgetHit
+                raise _Stop
             W[k] = w
             if not sym_ok(k):
                 symmetry_prunes += 1
@@ -309,11 +307,12 @@ def _run_search(
             for X, a in zip(cover[k], olds):
                 am[X] = a
 
-    optimal = True
     try:
-        dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P)
-    except _BudgetHit:
-        optimal = False
+        if inc_val < upper:  # else a seed already meets the root bound
+            dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P)
+    except _Stop:
+        pass
+    optimal = nodes <= node_budget
 
     # soundness: re-verify the winning witness on an independent code path
     if inc_wit.find_violation(s, q) is not None:

@@ -75,6 +75,16 @@ class TestSearchCommands:
         assert rec["upper"] == "148111168"
         assert int(rec["value"]) <= 148111168
 
+    def test_stop_at_upper_is_optimal_within_budget(self, capsys, tmp_path):
+        # the incumbent meets the root bound at node 146: nothing is left to
+        # search, so a budget of 150 proves it optimal
+        code, out, _ = run(
+            capsys, "expi", "5", "4", "15", "--budget", "150", "--out", str(tmp_path)
+        )
+        assert code == EXIT_OK
+        rec = record_fields(out)
+        assert (rec["value"], rec["optimal"], rec["upper"]) == ("7776", "true", "7776")
+
     def test_threads_flag_removed(self, capsys, tmp_path):
         code, _, _ = run(
             capsys, "expi", "4", "4", "15", "--threads", "2", "--out", str(tmp_path)

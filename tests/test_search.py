@@ -84,6 +84,9 @@ class TestAveragingBound:
             ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3797, 2001, 938, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 28146, 16877, 6964, 918330048)),
             ("sum", 7, 5, 13, 20_000, (23, False, 20001, 10119, 3040, 26)),
+            # the search stops at the leaf where the incumbent meets upper
+            ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 146, 88, 13, 7776)),
+            ("sum", 4, 3, 13, S.DEFAULT_NODE_BUDGET, (26, True, 6, 0, 0, 26)),
         ],
     )
     def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -101,26 +102,63 @@ def _averaging_chain(n: int, s: int, q: int, product: bool) -> int:
 
 
 @lru_cache(maxsize=None)
-def _sym_tables(n: int) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """Pair-index permutations for adjacent vertex swaps of complete prefixes.
+def _rank_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """R[u][v] = pair_rank(u, v); the diagonal is never read."""
+    return tuple(tuple(pair_rank(u, v) if u != v else -1 for v in range(n)) for u in range(n))
 
-    For each block of vertices {0..j} (complete once pair (j-1, j) is
-    assigned) and each transposition (i, i+1) with i < j, maps every pair
-    rank inside the block to the rank of the swapped pair.
+
+def _lex_leader(W: list[int], j: int, R: tuple[tuple[int, ...], ...]) -> bool:
+    """False if a relabeling of {0..j} makes block {0..j}, W[:C(j+1,2)] in
+    colex order, lexicographically larger.
+
+    Sound: such a relabeling moves block entries only within the block,
+    which precedes every later pair, so it would enlarge all of W; the
+    lex-max labeling of any optimum therefore passes at every block.  The
+    images p[0], p[1], ... of 0, 1, ... are picked in turn, and the first
+    y+1 picks fix column y, the entries W[R[p[x]][p[y]]] for x < y.  A
+    larger column rejects W, a smaller one abandons the branch, a tie goes
+    deeper.  Column 1 is the pair that p[0], p[1] map onto (0, 1), so W is
+    rejected if a block pair is heavier than W[0], and only pairs of
+    weight W[0] start.
     """
-    out: dict[int, tuple[tuple[int, ...], ...]] = {}
-    for j in range(1, n):
-        block_pairs = [(x, y) for y in range(1, j + 1) for x in range(y)]
-        last = pair_rank(j - 1, j)
-        sigmas = []
-        for i in range(j):
-            swap = {i: i + 1, i + 1: i}
-            sigma = tuple(
-                pair_rank(swap.get(x, x), swap.get(y, y)) for x, y in block_pairs
-            )
-            sigmas.append(sigma)
-        out[last] = tuple(sigmas)
-    return out
+    top = W[0]
+    if max(W[: j * (j + 1) // 2]) > top:
+        return False
+    p = [0] * (j + 1)
+    free = [True] * (j + 1)
+
+    def larger(y: int) -> bool:  # some completion of p[:y] beats W
+        if y > j:
+            return False
+        c = y * (y - 1) // 2
+        for z in range(j + 1):
+            if free[z]:
+                Rz = R[z]
+                for x in range(y):
+                    a, b = W[Rz[p[x]]], W[c + x]
+                    if a != b:
+                        if a > b:
+                            return True
+                        break
+                else:
+                    free[z], p[y] = False, z
+                    if larger(y + 1):
+                        return True
+                    free[z] = True
+        return False
+
+    for u in range(j + 1):
+        for v in range(u + 1, j + 1):
+            if W[R[u][v]] == top:
+                free[u] = free[v] = False
+                p[0], p[1] = u, v
+                if larger(2):
+                    return False
+                p[0], p[1] = v, u
+                if larger(2):
+                    return False
+                free[u] = free[v] = True
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -151,16 +189,19 @@ def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
     return tuple(open_sets), tuple(later)
 
 
-def _seed_witnesses(n: int, s: int, q: int, mode: str) -> list[Multigraph]:
-    """Feasible starting incumbents: constant graph plus construction optima.
+def _seed_witnesses(n: int, s: int, q: int, mode: str) -> Iterator[Multigraph]:
+    """Feasible starting incumbents: constant graph, then construction optima.
 
     Every construction whose s-vertex optimum stays within q is feasible
     on n vertices because induced subsets of a member are members at the
-    smaller size.
+    smaller size.  Lazy, so the caller can stop at a seed that meets the
+    root bound.
     """
     spairs = s * (s - 1) // 2
-    seeds = [Multigraph.constant(n, q // spairs)]
-    seen = {seeds[0].weights()}
+    g = Multigraph.constant(n, q // spairs)
+    seen = {g.weights()}
+    yield g
+    optimize = max_edge_product if mode == "product" else max_edge_sum
     amax = q // spairs + 1
     for a in range(1, amax + 1):
         for r in range(1, s + 1):
@@ -168,16 +209,11 @@ def _seed_witnesses(n: int, s: int, q: int, mode: str) -> list[Multigraph]:
                 params = Params(a, r, d)
                 if max_edge_sum(params, s).value > q:
                     continue
-                opt = (
-                    max_edge_product(params, n)
-                    if mode == "product"
-                    else max_edge_sum(params, n)
-                )
-                g = turan_multigraph(params, opt.argmax)
+                g = turan_multigraph(params, optimize(params, n).argmax)
                 if g.weights() not in seen:
                     seen.add(g.weights())
-                    seeds.append(g)
-    return [g for g in seeds if g.satisfies(s, q)]
+                    if g.satisfies(s, q):
+                        yield g
 
 
 def _graph_value(G: Multigraph, mode: str) -> int:
@@ -198,14 +234,20 @@ def _run_search(
     open_sets, later = _depth_tables(n, s)
     S = len(sset_pairs)
 
-    seeds = _seed_witnesses(n, s, q, mode)
+    upper = _averaging_chain(n, s, q, product)
+    seeds = []
+    for g in _seed_witnesses(n, s, q, mode):  # none can exceed upper
+        seeds.append(g)
+        if _graph_value(g, mode) >= upper:
+            break
     inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
     inc_val = _graph_value(inc_wit, mode)
 
     rem = [q] * S
     am = [_amgm(q, spairs)] * S
     W = [0] * P
-    sym = _sym_tables(n)
+    R = _rank_table(n)
+    block = {pair_rank(j - 1, j): j for j in range(2, n)}  # pair k completes {0..j}
     nodes = bound_prunes = symmetry_prunes = 0
 
     # wlo is the least weight tried: a product search with q < C(s,2) has
@@ -218,7 +260,6 @@ def _run_search(
     # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.
     per_pair = len(cover[0])
     cap = am[0] ** S
-    upper = _averaging_chain(n, s, q, product)
 
     def prune_by_bound(k: int, acc: int, cap: int, ub: list[int]) -> bool:
         ubs = ub[k:]
@@ -250,19 +291,6 @@ def _run_search(
                 return True
         return False
 
-    def sym_ok(k: int) -> bool:
-        tables = sym.get(k)
-        if tables is None:
-            return True
-        for sigma in tables:
-            for t in range(k + 1):
-                a, b = W[t], W[sigma[t]]
-                if a != b:
-                    if a < b:
-                        return False
-                    break
-        return True
-
     def dfs(k: int, acc: int, cap: int, ub: list[int]) -> None:
         nonlocal inc_val, inc_wit, nodes, bound_prunes, symmetry_prunes
         if k == P:
@@ -278,12 +306,13 @@ def _run_search(
         if product:
             olds = [am[X] for X in cover[k]]
             old = prod(olds)  # nonzero: every am[X] >= 1
+        j = block.get(k)
         for w in range(ub[k], wlo - 1, -1):
             nodes += 1
             if nodes > node_budget:
                 raise _Stop
             W[k] = w
-            if not sym_ok(k):
+            if j and not _lex_leader(W, j, R):
                 symmetry_prunes += 1
                 continue
             child = ub[:]

@@ -57,7 +57,7 @@ class TestSearchCommands:
         assert code == EXIT_USAGE
 
     def test_budget_bound_exit(self, capsys, tmp_path):
-        # (6,4,15) needs 2,149 nodes with the averaging bound, so 40 stops it
+        # (6,4,15) needs 1,839 nodes with the averaging bound, so 40 stops it
         code, out, _ = run(
             capsys, "expi", "6", "4", "15", "--budget", "40", "--out", str(tmp_path)
         )

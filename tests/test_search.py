@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 from sqgraphs import constructions as C
 from sqgraphs import search as S
 from sqgraphs.formulas import am_gm_bound
-from sqgraphs.multigraph import Multigraph, Params
+from sqgraphs.multigraph import Multigraph, Params, pair_rank
 
 
 def isomorphic(G: Multigraph, H: Multigraph) -> bool:
@@ -74,16 +75,16 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 21_053
+        assert out.stats["nodes"] <= 12_542
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 2149, 907, 577, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 21053, 8945, 4534, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3797, 2001, 938, 95551488)),
-            ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 28146, 16877, 6964, 918330048)),
-            ("sum", 7, 5, 13, 20_000, (23, False, 20001, 10119, 3040, 26)),
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 1839, 690, 588, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 12542, 4400, 3727, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3178, 1538, 927, 95551488)),
+            ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 19612, 10495, 6280, 918330048)),
+            ("sum", 7, 5, 13, 20_000, (23, False, 20001, 9913, 3261, 26)),
             # the search stops at the leaf where the incumbent meets upper
             ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 146, 88, 13, 7776)),
             ("sum", 4, 3, 13, S.DEFAULT_NODE_BUDGET, (26, True, 6, 0, 0, 26)),
@@ -124,6 +125,48 @@ class TestAveragingBound:
                 r = S._iroot(x, k)
                 assert r ** k <= x < (r + 1) ** k
 
+    def test_seeds_stop_at_the_root_bound(self):
+        # at s = 2 the constant seed q on every pair meets the bound, so no
+        # construction is built: exsum 3 2 800 once built 1,599 of them
+        assert S.max_product_search(5, 2, 7).stats["seeds"] == 1
+        out = S.max_sum_search(3, 2, 800)
+        assert (out.value, out.optimal, out.stats["seeds"], out.stats["nodes"]) == (2400, True, 1, 0)
+
+
+class TestLexLeader:
+    @staticmethod
+    def brute(W, j):
+        """Lex-leader by trying all (j+1)! relabelings of the block."""
+        block = [(x, y) for y in range(1, j + 1) for x in range(y)]
+        own = [W[pair_rank(x, y)] for x, y in block]
+        return all(
+            [W[pair_rank(p[x], p[y])] for x, y in block] <= own
+            for p in permutations(range(j + 1))
+        )
+
+    @staticmethod
+    def check(W, j):
+        # stale entries past the block, as the search leaves them, do not count
+        stale = W + [9, 0] * (j + 1)
+        assert S._lex_leader(stale, j, S._rank_table(j + 2)) == TestLexLeader.brute(W, j), (W, j)
+
+    def test_random_blocks(self):
+        rng = random.Random(13)
+        for _ in range(3000):
+            j = rng.randint(1, 5)
+            top = rng.choice((1, 2, 3, 5))
+            self.check([rng.randint(0, top) for _ in range(j * (j + 1) // 2)], j)
+
+    def test_constant_and_two_weight_blocks(self):
+        # ties everywhere: every relabeling of a constant block is equal
+        for j in range(1, 6):
+            self.check([3] * (j * (j + 1) // 2), j)
+        for j in range(1, 5):
+            for W in product((1, 2), repeat=j * (j + 1) // 2):
+                self.check(list(W), j)
+        rng = random.Random(7)
+        for _ in range(500):
+            self.check([rng.choice((1, 2)) for _ in range(15)], 5)
 
 class TestCounting:
     def test_independent_pairs(self):
@@ -240,12 +283,21 @@ class TestEngineAgainstOracle:
             assert S.count_graphs(n, s, q) == S.brute_force(n, s, q, "count", q).value
 
     def test_values_agree_at_n5(self):
-        # 5^10 assignments at cap 4; n = 6 (3^15 at cap 2) is left out for time
+        # 5^10 assignments at cap 4; n = 6 (3^15 at cap 2) is the slow test below
         for s in range(2, 6):
             for q in range(5):
                 assert S.max_product_search(5, s, q).value == S.brute_force(5, s, q, "product", q).value
                 assert S.max_sum_search(5, s, q).value == S.brute_force(5, s, q, "sum", q).value
                 assert S.count_graphs(5, s, q) == S.brute_force(5, s, q, "count", q).value
+
+    @pytest.mark.slow
+    def test_values_agree_at_n6(self):
+        # 45 values at 3^15 assignments (cap 2); opt in with `pytest -m slow`
+        for s in range(2, 7):
+            for q in range(3):
+                assert S.max_product_search(6, s, q).value == S.brute_force(6, s, q, "product", q).value
+                assert S.max_sum_search(6, s, q).value == S.brute_force(6, s, q, "sum", q).value
+                assert S.count_graphs(6, s, q) == S.brute_force(6, s, q, "count", q).value
 
 
 class TestEngineContracts:
@@ -295,7 +347,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) needs 2,149 nodes with the averaging bound, so 50 stops it
+        # (6,4,15) needs 1,839 nodes with the averaging bound, so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

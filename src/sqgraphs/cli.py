@@ -171,7 +171,7 @@ def _iterate_command(args) -> int:
     sizes = [[int(x) for x in sz.split(",")] for sz in args.sizes]
     G = iterated_multigraph(spec, sizes)
     s = args.s if args.s is not None else spec.level_params()[0].s_base
-    max_sum, argset = G.max_subset_sum(s) if s <= G.n else (G.edge_sum(), tuple(range(G.n)))
+    max_sum = G.max_subset_sum(s)[0] if s <= G.n else G.edge_sum()
     pairs = G.n * (G.n - 1) // 2
     path = _witness_path(args, f"iterate_n{G.n}.witness.json")
     with open(path, "w", encoding="utf-8") as fh:

@@ -190,30 +190,40 @@ def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
 
 
 def _seed_witnesses(n: int, s: int, q: int, mode: str) -> Iterator[Multigraph]:
-    """Feasible starting incumbents: constant graph, then construction optima.
+    """Feasible starting incumbents: constant graph, then the undominated
+    construction optima in ascending (a, r, d) order.
 
-    Every construction whose s-vertex optimum stays within q is feasible
-    on n vertices because induced subsets of a member are members at the
-    smaller size.  Lazy, so the caller can stop at a seed that meets the
-    root bound.
+    Induced subsets of a member are members, so it is feasible when its
+    s-vertex optimum a*C(s,2) + h(r, d), h = max(cross - d*light), is <= q,
+    that is when a <= a(r, d) = (q - h) // C(s,2).  Raising a raises every
+    weight and lowering d the light ones, so the first maximal member has
+    a = a(r, d) > d and a(r, d) > a(r, d-1), and r >= 2 (r = 1 gives constant
+    graphs no heavier than the first seed), so h >= 0 and a <= q // C(s,2);
+    h is fixed from d = C(s,2)-1 on, where a light pair scores <= 0.  Each
+    seed is one of the full enumeration's, whose first maximal seed is among
+    them with none as heavy before it, so the caller keeps the same graph.
+    Lazy, so the caller can stop at a seed that meets the root bound.
     """
     spairs = s * (s - 1) // 2
     g = Multigraph.constant(n, q // spairs)
     seen = {g.weights()}
     yield g
     optimize = max_edge_product if mode == "product" else max_edge_sum
-    amax = q // spairs + 1
-    for a in range(1, amax + 1):
-        for r in range(1, s + 1):
-            for d in range(0, a):
-                params = Params(a, r, d)
-                if max_edge_sum(params, s).value > q:
-                    continue
-                g = turan_multigraph(params, optimize(params, n).argmax)
-                if g.weights() not in seen:
-                    seen.add(g.weights())
-                    if g.satisfies(s, q):
-                        yield g
+    members = []
+    for r in range(2, s + 1):
+        prev = 0
+        for d in range(min(q // spairs, spairs)):
+            a = (q + (d + 1) * spairs - max_edge_sum(Params(d + 1, r, d), s).value) // spairs
+            if a > max(d, prev):
+                members.append((a, r, d))
+            prev = a
+    for a, r, d in sorted(members):
+        params = Params(a, r, d)
+        g = turan_multigraph(params, optimize(params, n).argmax)
+        if g.weights() not in seen:
+            seen.add(g.weights())
+            if g.satisfies(s, q):
+                yield g
 
 
 def _graph_value(G: Multigraph, mode: str) -> int:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+from functools import lru_cache, partial
 from itertools import permutations, product
 
 import pytest
@@ -131,6 +132,59 @@ class TestAveragingBound:
         assert S.max_product_search(5, 2, 7).stats["seeds"] == 1
         out = S.max_sum_search(3, 2, 800)
         assert (out.value, out.optimal, out.stats["seeds"], out.stats["nodes"]) == (2400, True, 1, 0)
+
+
+@lru_cache(maxsize=None)
+def _s_optimum(a: int, r: int, d: int, s: int) -> int:
+    return C.max_edge_sum(Params(a, r, d), s).value
+
+
+@lru_cache(maxsize=None)
+def _member(a: int, r: int, d: int, n: int, mode: str) -> Multigraph:
+    params = Params(a, r, d)
+    optimize = C.max_edge_product if mode == "product" else C.max_edge_sum
+    return C.turan_multigraph(params, optimize(params, n).argmax)
+
+
+def reference_seeds(n: int, s: int, q: int, mode: str):
+    """Every feasible construction member in (a, r, d) order, after the
+    constant graph: the enumeration the search once seeded from."""
+    spairs = s * (s - 1) // 2
+    g = Multigraph.constant(n, q // spairs)
+    seen = {g.weights()}
+    yield g
+    for a in range(1, q // spairs + 2):
+        for r in range(1, s + 1):
+            for d in range(a):
+                if _s_optimum(a, r, d, s) > q:
+                    continue
+                g = _member(a, r, d, n, mode)
+                if g.weights() not in seen:
+                    seen.add(g.weights())
+                    if g.satisfies(s, q):
+                        yield g
+
+
+class TestSeeds:
+    def test_same_first_maximal_seed_as_full_enumeration(self):
+        for n in range(3, 8):
+            for s in range(2, min(n, 6) + 1):
+                for q in range(41):
+                    for mode in ("sum", "product"):
+                        ref = list(reference_seeds(n, s, q, mode))
+                        new = list(S._seed_witnesses(n, s, q, mode))
+                        value = partial(S._graph_value, mode=mode)
+                        # max keeps the first maximal seed, as _run_search does
+                        best_ref, best_new = max(ref, key=value), max(new, key=value)
+                        assert best_new.weights() == best_ref.weights(), (n, s, q, mode)
+                        assert {g.weights() for g in new} <= {g.weights() for g in ref}
+
+    def test_seed_count_does_not_grow_with_q(self):
+        # the full enumeration built 493 seeds at q = 301 and never finished
+        # at q = 10**6; no seed meets the root bound on either instance
+        for search, n, s, seeds in ((S.max_sum_search, 5, 3, 3), (S.max_product_search, 6, 4, 4)):
+            for q in (301, 10**6):
+                assert search(n, s, q, node_budget=1).stats["seeds"] == seeds, (n, s, q)
 
 
 class TestLexLeader:

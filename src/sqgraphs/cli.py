@@ -49,9 +49,13 @@ def _emit(record: dict, args, header_done: list[bool]) -> None:
         )
 
 
-def _witness_path(args, name: str) -> str:
+def _write_out(args, name: str, text: str) -> str:
+    """Write ``text`` and a newline to file ``name`` under --out; return its path."""
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, name)
+    path = os.path.join(args.out, name)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text + "\n")
+    return path
 
 
 def _at_least(minimum: int):
@@ -118,10 +122,9 @@ def _search_command(args) -> int:
     )
     record["upper"] = str(outcome.stats["upper"])
     if outcome.witness is not None:
-        path = _witness_path(args, f"{args.command}_n{n}_s{s}_q{q}.witness.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(outcome.witness.dumps() + "\n")
-        record["witness"] = path
+        record["witness"] = _write_out(
+            args, f"{args.command}_n{n}_s{s}_q{q}.witness.json", outcome.witness.dumps()
+        )
     _emit(record, args, [False])
     if args.cache and fresh:
         search.append_cache(args.cache, search.cache_record(n, s, q, outcome))
@@ -139,12 +142,10 @@ def _construct_command(args) -> int:
     ):
         witness = turan_multigraph(params, opt.argmax)
         stem = f"construct_a{args.a}_r{args.r}_d{args.d}_n{n}.{kind}"
-        path = _witness_path(args, stem + ".json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(witness.dumps() + "\n")
-        with open(_witness_path(args, stem + ".opt.json"), "w", encoding="utf-8") as fh:
-            json.dump(optimum_to_dict(params, n, opt), fh, separators=(",", ":"))
-            fh.write("\n")
+        path = _write_out(args, stem + ".json", witness.dumps())
+        _write_out(
+            args, stem + ".opt.json", json.dumps(optimum_to_dict(params, n, opt), separators=(",", ":"))
+        )
         _emit(
             {
                 "command": "construct",
@@ -173,9 +174,7 @@ def _iterate_command(args) -> int:
     s = args.s if args.s is not None else spec.level_params()[0].s_base
     max_sum = G.max_subset_sum(s)[0] if s <= G.n else G.edge_sum()
     pairs = G.n * (G.n - 1) // 2
-    path = _witness_path(args, f"iterate_n{G.n}.witness.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(G.dumps() + "\n")
+    path = _write_out(args, f"iterate_n{G.n}.witness.json", G.dumps())
     _emit(
         {
             "command": "iterate",

@@ -17,7 +17,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
-from math import prod
+from math import comb, prod
 from operator import itemgetter
 
 import numpy as np
@@ -162,30 +162,17 @@ def _lex_leader(W: list[int], j: int, R: tuple[tuple[int, ...], ...]) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _layout(n: int, s: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """(sset_pairs, cover): pair ranks inside each s-set, s-sets on each pair."""
-    sset_pairs = tuple(
-        tuple(sorted(pair_rank(u, v) for u, v in combinations(X, 2)))
-        for X in combinations(range(n), s)
-    )
-    cover: list[list[int]] = [[] for _ in range(n * (n - 1) // 2)]
-    for xid, prs in enumerate(sset_pairs):
-        for e in prs:
-            cover[e].append(xid)
-    return sset_pairs, tuple(map(tuple, cover))
-
-
-@lru_cache(maxsize=None)
 def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
-    """Per depth k of the rank-order search: open_sets[k] holds (X, getter of
-    X's pairs >= k) for each s-set X with >= 2 of them; later[k] holds (X, X's
-    pairs > k) for each X on pair k."""
-    sset_pairs, cover = _layout(n, s)
+    """Per depth k of the rank-order search, with X indexing the s-sets
+    combinations(range(n), s) in order: open_sets[k] holds (X, getter of X's
+    pairs >= k) for each X with >= 2 of them; later[k] holds (X, X's pairs > k)
+    for each X on pair k."""
+    ssets = [sorted(pair_rank(u, v) for u, v in combinations(X, 2)) for X in combinations(range(n), s)]
     open_sets, later = [], []
-    for k in range(len(cover)):
-        tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(sset_pairs)]
+    for k in range(n * (n - 1) // 2):
+        tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
         open_sets.append(tuple((X, itemgetter(*prs)) for X, prs in tails if len(prs) >= 2))
-        later.append(tuple((X, tails[X][1][1:]) for X in cover[k]))
+        later.append(tuple((X, prs[1:]) for X, prs in tails if prs and prs[0] == k))
     return tuple(open_sets), tuple(later)
 
 
@@ -240,9 +227,9 @@ def _run_search(
     product = mode == "product"
     wlo = 1 if product else 0
 
-    sset_pairs, cover = _layout(n, s)
     open_sets, later = _depth_tables(n, s)
-    S = len(sset_pairs)
+    S = comb(n, s)
+    per_pair = comb(n - 2, s - 2)
 
     upper = _averaging_chain(n, s, q, product)
     seeds = []
@@ -253,8 +240,7 @@ def _run_search(
     inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
     inc_val = _graph_value(inc_wit, mode)
 
-    rem = [q] * S
-    am = [_amgm(q, spairs)] * S
+    am0 = _amgm(q, spairs)
     W = [0] * P
     R = _rank_table(n)
     block = {pair_rank(j - 1, j): j for j in range(2, n)}  # pair k completes {0..j}
@@ -264,14 +250,14 @@ def _run_search(
     # upper == 0 and never starts.  rem[X] is what s-set X may still add to
     # its sum; at depth k its m open pairs are its pairs >= k, and one of them
     # takes at most X's slack rem[X] - (m-1)*wlo, as the others take >= wlo
-    # each.  ub[e] is the least slack over cover[e].  Setting pair k to w <=
-    # ub[k] leaves each X in cover[k] the slack rem[X] - w - (m-2)*wlo >= wlo
-    # on its later pairs, which the child's ub takes as a new minimum; so
-    # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.
-    per_pair = len(cover[0])
-    cap = am[0] ** S
+    # each.  ub[e] is the least slack over the s-sets on e.  Setting pair k to
+    # w <= ub[k] leaves each X on pair k the slack rem[X] - w - (m-2)*wlo >=
+    # wlo on its later pairs, which the child's ub takes as a new minimum; so
+    # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.  Each
+    # child gets its own rem, am and ub, so nothing is undone on the way back.
+    cap = am0**S
 
-    def prune_by_bound(k: int, acc: int, cap: int, ub: list[int]) -> bool:
+    def prune_by_bound(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
         ubs = ub[k:]
         if product:
             # Katona cap: am[X] = _amgm(rem[X], m) bounds the product of X's
@@ -301,7 +287,7 @@ def _run_search(
                 return True
         return False
 
-    def dfs(k: int, acc: int, cap: int, ub: list[int]) -> None:
+    def dfs(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> None:
         nonlocal inc_val, inc_wit, nodes, bound_prunes, symmetry_prunes
         if k == P:
             if acc > inc_val:
@@ -310,12 +296,11 @@ def _run_search(
                 if inc_val >= upper:  # no completion beats the root bound
                     raise _Stop
             return
-        if prune_by_bound(k, acc, cap, ub):
+        if prune_by_bound(k, acc, cap, ub, rem, am):
             bound_prunes += 1
             return
         if product:
-            olds = [am[X] for X in cover[k]]
-            old = prod(olds)  # nonzero: every am[X] >= 1
+            old = prod(am[X] for X, _ in later[k])  # nonzero: every am[X] >= 1
         j = block.get(k)
         for w in range(ub[k], wlo - 1, -1):
             nodes += 1
@@ -325,30 +310,26 @@ def _run_search(
             if j and not _lex_leader(W, j, R):
                 symmetry_prunes += 1
                 continue
-            child = ub[:]
+            child, crem = ub[:], rem[:]
+            cam = am[:] if product else am
             new = 1
             for X, prs in later[k]:
-                r = rem[X] = rem[X] - w
+                r = crem[X] = rem[X] - w
                 if product:
-                    am[X] = a = _amgm(r, len(prs))
+                    cam[X] = a = _amgm(r, len(prs))
                     new *= a
                 slack = r - (len(prs) - 1) * wlo
                 for e in prs:
                     if slack < child[e]:
                         child[e] = slack
             if product:
-                dfs(k + 1, acc * w, cap // old * new, child)
+                dfs(k + 1, acc * w, cap // old * new, child, crem, cam)
             else:
-                dfs(k + 1, acc + w, cap, child)
-            for X in cover[k]:
-                rem[X] += w
-        if product:
-            for X, a in zip(cover[k], olds):
-                am[X] = a
+                dfs(k + 1, acc + w, cap, child, crem, cam)
 
     try:
         if inc_val < upper:  # else a seed already meets the root bound
-            dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P)
+            dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P, [q] * S, [am0] * S)
     except _Stop:
         pass
     optimal = nodes <= node_budget
@@ -391,15 +372,15 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     _validate(n, s, q)
     P = n * (n - 1) // 2
     open_sets, later = _depth_tables(n, s)
-    rem = [q + 1] * len(_layout(n, s)[0])
     nodes = 0
 
     # rem[X] is one more than what s-set X may still add, so choices[e], the
-    # least rem over cover[e], is the number of weights pair e may take; it
-    # is carried and lowered on later[k] as ub is in _run_search.  Once no
-    # s-set has two open pairs (open_sets[k] is empty), the open pairs are
-    # independent and the count is the product of their choices.
-    def dfs(k: int, choices: list[int]) -> int:
+    # least rem over the s-sets on e, is the number of weights pair e may
+    # take; both are carried by value and lowered on later[k] as in
+    # _run_search.  Once no s-set has two open pairs (open_sets[k] is empty),
+    # the open pairs are independent and the count is the product of their
+    # choices.
+    def dfs(k: int, choices: list[int], rem: list[int]) -> int:
         nonlocal nodes
         nodes += 1
         if nodes > node_budget:
@@ -412,18 +393,16 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
             return prod(choices[k:])
         total = 0
         for w in range(choices[k]):
-            child = choices[:]
+            child, crem = choices[:], rem[:]
             for X, prs in later[k]:
-                r = rem[X] = rem[X] - w
+                r = crem[X] = rem[X] - w
                 for e in prs:
                     if r < child[e]:
                         child[e] = r
-            total += dfs(k + 1, child)
-            for X, _ in later[k]:
-                rem[X] += w
+            total += dfs(k + 1, child, crem)
         return total
 
-    return dfs(0, [q + 1] * P)
+    return dfs(0, [q + 1] * P, [q + 1] * comb(n, s))
 
 
 # ---------------------------------------------------------------------------

@@ -154,6 +154,24 @@ class TestSearchCommands:
         assert fields["source"] == "search" and fields["value"] == "15"
         assert len(open(cache).read().splitlines()) == 3
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 7: a cached record's optimal flag is trusted, so a worse"
+        " value with a matching feasible witness is served as optimal",
+    )
+    def test_cache_worse_record_is_not_served_as_optimal(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        run(capsys, *argv)
+        rec = json.loads(open(cache).read())
+        rec["value"] = "64"
+        for edge in rec["witness"]["edges"]:
+            edge[2] = 2
+        with open(cache, "a") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, *argv)
+        assert record_fields(out)["value"] == "216"
+
     def test_count_ignores_cache(self, capsys, tmp_path):
         # a count record has no witness to re-check, so count has no --cache
         # flag: an edited record can be neither served nor added to

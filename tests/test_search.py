@@ -6,7 +6,7 @@ import json
 import math
 import random
 from functools import lru_cache, partial
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -185,6 +185,31 @@ class TestSeeds:
         for search, n, s, seeds in ((S.max_sum_search, 5, 3, 3), (S.max_product_search, 6, 4, 4)):
             for q in (301, 10**6):
                 assert search(n, s, q, node_budget=1).stats["seeds"] == seeds, (n, s, q)
+
+
+class TestDepthTables:
+    def test_tables_follow_their_definition(self):
+        # X indexes combinations(range(n), s) in order; each getter, applied
+        # to the list of pair ranks, reads back the pairs it selects
+        for n in range(2, 9):
+            ranks = list(range(n * (n - 1) // 2))
+            for s in range(2, n + 1):
+                ssets = [
+                    sorted(pair_rank(u, v) for u, v in combinations(X, 2))
+                    for X in combinations(range(n), s)
+                ]
+                open_sets, later = S._depth_tables(n, s)
+                assert len(open_sets) == len(later) == len(ranks)
+                for k in ranks:
+                    assert later[k] == tuple(
+                        (X, tuple(e for e in prs if e > k))
+                        for X, prs in enumerate(ssets)
+                        if k in prs
+                    ), (n, s, k)
+                    tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
+                    assert [(X, get(ranks)) for X, get in open_sets[k]] == [
+                        (X, tail) for X, tail in tails if len(tail) >= 2
+                    ], (n, s, k)
 
 
 class TestLexLeader:

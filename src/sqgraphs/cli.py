@@ -80,6 +80,14 @@ def _range_arg(text: str) -> list[int]:
     return [int(text)]
 
 
+def _n_values(text: str, name: str, s: int) -> list[int]:
+    """The n of a --n range that reach s; none is a usage error."""
+    n_values = [n for n in _range_arg(text) if n >= s]
+    if not n_values:
+        raise ValueError(f"no n in {text!r} reaches {name}={s}")
+    return n_values
+
+
 def _search_record(args, value: int, optimal: bool, source: str) -> dict:
     n = args.n
     return {
@@ -207,20 +215,17 @@ def _verify_command(args) -> int:
     for suite in suites:
         if suite == "conjecture":
             params = Params(args.a, args.r, args.d)
-            n_values = [n for n in _range_arg(args.n) if n >= params.s_base]
-            if not n_values:
-                raise ValueError(f"no n in {args.n!r} reaches s_base={params.s_base}")
             rows = verify.conjecture_checks(
-                params, n_values, node_budget=args.budget, dps=args.precision
+                params, _n_values(args.n, "s_base", params.s_base),
+                node_budget=args.budget, dps=args.precision,
             )
         elif suite == "identities":
             rows = verify.identity_checks(a_max=args.amax, r_max=args.rmax)
         elif suite == "conditions":
             rows = verify.condition_checks()
         elif suite == "counting":
-            n_values = _range_arg(args.n)
             rows = []
-            for n in n_values:
+            for n in _n_values(args.n, "s", 2 * args.r):
                 rows.extend(
                     verify.counting_checks(
                         n, args.a, args.r, node_budget=args.budget, dps=args.precision

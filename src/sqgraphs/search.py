@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -217,34 +217,30 @@ def _graph_value(G: Multigraph, mode: str) -> int:
     return G.edge_product() if mode == "product" else G.edge_sum()
 
 
-def _run_search(
-    n: int, s: int, q: int, mode: str, node_budget: int
-) -> SearchOutcome:
-    t0 = time.perf_counter()
-    _validate(n, s, q)
+def _tree_search(
+    n: int, s: int, q: int, product: bool, budget: int, stats: dict, inc: list,
+    upper: int, prefix: Sequence[int] = (), keep: list | None = None,
+) -> None:
+    """Branch-and-bound over the pairs after `prefix`, in one of three modes.
+
+    best: inc = [value, witness] is the incumbent; a heavier leaf replaces
+    it, and the one that meets `upper` ends the search with _Stop.
+    collect (keep is a list): inc[0] = T - 1 stays fixed, and each leaf of
+    value >= T goes to keep as (value, weights).
+    extend (prefix holds the weights of an (n-1)-vertex graph H): as best,
+    over the graphs whose vertices 0..n-2 induce H, and with no lex-leader
+    test: every block but the last lies in H, and _climb skips the last.
+    stats counts nodes and prunes across calls; _Stop is raised once the
+    nodes pass budget, with inc and stats current.
+    """
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
-    product = mode == "product"
     wlo = 1 if product else 0
 
     open_sets, later = _depth_tables(n, s)
-    S = comb(n, s)
     per_pair = comb(n - 2, s - 2)
-
-    upper = _averaging_chain(n, s, q, product)
-    seeds = []
-    for g in _seed_witnesses(n, s, q, mode):  # none can exceed upper
-        seeds.append(g)
-        if _graph_value(g, mode) >= upper:
-            break
-    inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
-    inc_val = _graph_value(inc_wit, mode)
-
-    am0 = _amgm(q, spairs)
-    W = [0] * P
     R = _rank_table(n)
-    block = {pair_rank(j - 1, j): j for j in range(2, n)}  # pair k completes {0..j}
-    nodes = bound_prunes = symmetry_prunes = 0
+    block = {} if prefix else {pair_rank(j - 1, j): j for j in range(2, n)}  # pair k completes {0..j}
 
     # wlo is the least weight tried: a product search with q < C(s,2) has
     # upper == 0 and never starts.  rem[X] is what s-set X may still add to
@@ -255,7 +251,30 @@ def _run_search(
     # wlo on its later pairs, which the child's ub takes as a new minimum; so
     # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.  Each
     # child gets its own rem, am and ub, so nothing is undone on the way back.
-    cap = am0**S
+    def step(k: int, w: int, ub: list[int], rem: list[int], am: list[int]) -> tuple:
+        child, crem = ub[:], rem[:]
+        cam = am[:] if product else am
+        new = 1
+        for X, prs in later[k]:
+            r = crem[X] = rem[X] - w
+            if product:
+                cam[X] = a = _amgm(r, len(prs))
+                new *= a
+            slack = r - (len(prs) - 1) * wlo
+            for e in prs:
+                if slack < child[e]:
+                    child[e] = slack
+        return child, crem, cam, new
+
+    K = len(prefix)
+    W = list(prefix) + [0] * (P - K)
+    S = comb(n, s)
+    state = [q - (spairs - 1) * wlo] * P, [q] * S, [_amgm(q, spairs)] * S
+    for k in range(K):  # the prefix's pairs, set as dfs sets them
+        state = step(k, W[k], *state)[:3]
+    inc_val, inc_wit = inc
+    nodes = stats["nodes"]
+    bound_prunes = symmetry_prunes = 0
 
     def prune_by_bound(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
         ubs = ub[k:]
@@ -291,6 +310,9 @@ def _run_search(
         nonlocal inc_val, inc_wit, nodes, bound_prunes, symmetry_prunes
         if k == P:
             if acc > inc_val:
+                if keep is not None:
+                    keep.append((acc, W[:]))
+                    return
                 inc_val = acc
                 inc_wit = Multigraph(n, W)
                 if inc_val >= upper:  # no completion beats the root bound
@@ -304,35 +326,106 @@ def _run_search(
         j = block.get(k)
         for w in range(ub[k], wlo - 1, -1):
             nodes += 1
-            if nodes > node_budget:
+            if nodes > budget:
                 raise _Stop
             W[k] = w
             if j and not _lex_leader(W, j, R):
                 symmetry_prunes += 1
                 continue
-            child, crem = ub[:], rem[:]
-            cam = am[:] if product else am
-            new = 1
-            for X, prs in later[k]:
-                r = crem[X] = rem[X] - w
-                if product:
-                    cam[X] = a = _amgm(r, len(prs))
-                    new *= a
-                slack = r - (len(prs) - 1) * wlo
-                for e in prs:
-                    if slack < child[e]:
-                        child[e] = slack
+            child, crem, cam, new = step(k, w, ub, rem, am)
             if product:
                 dfs(k + 1, acc * w, cap // old * new, child, crem, cam)
             else:
                 dfs(k + 1, acc + w, cap, child, crem, cam)
 
     try:
-        if inc_val < upper:  # else a seed already meets the root bound
-            dfs(0, 1 if product else 0, cap, [q - (spairs - 1) * wlo] * P, [q] * S, [am0] * S)
+        dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
+    finally:
+        inc[:] = inc_val, inc_wit
+        stats["nodes"] = nodes
+        stats["bound_prunes"] += bound_prunes
+        stats["symmetry_prunes"] += symmetry_prunes
+
+
+def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, upper: int) -> None:
+    """Raise inc to the product optimum on n >= s+2 vertices by adding one
+    vertex to (n-1)-vertex graphs.
+
+    Lemma: each pair of an n-vertex graph G lies in n-2 of the n induced
+    subgraphs G-v, so the product over v of P(G-v) is P(G)**(n-2) and some
+    v has P(G-v)**n >= P(G)**(n-2).  G-v is an (s,q)-graph, so a G with
+    P(G) > L adds a vertex to an (n-1)-vertex (s,q)-graph H = G-v of value
+    at least T, the least T with T**n >= (L+1)**(n-2).  Label G so that v
+    is vertex n-1 and H is in its lex-max labeling.  collect at T keeps that
+    H: it passes every block test (see _lex_leader), and the bound at T-1
+    prunes no leaf of value >= T.  extend from H reaches G unless a bound
+    shows G no heavier than the incumbent.  It skips the lex-leader test of
+    the last block {0..n-1}, since putting v last need not give G's lex-max
+    labeling, so the test could reject every labeling of G that extends H.
+    H is extended heaviest first, until P(H)**n < (inc+1)**(n-2).
+
+    Phase 1 extends every optimum at n-1 (collect at T = ex(n-1), from this
+    same routine one level down), to raise the seed's L.  Phase 2 collects
+    at the T of that L and extends the graphs not yet extended.
+    stats["climb"] records the seed value, L, the last T, how many graphs
+    that collect kept, and the nodes of the collects and the extensions.
+    """
+    below = _run_search(n - 1, s, q, "product", budget - stats["nodes"])
+    for key in ("nodes", "bound_prunes", "symmetry_prunes"):
+        stats[key] += below.stats[key]
+    if not below.optimal:
+        raise _Stop
+    climb = stats["climb"] = dict(seed=inc[0], L=None, T=None, kept=0, collect_nodes=0, extend_nodes=0)
+
+    def run(key: str, *args, **kwargs) -> None:
+        start = stats["nodes"]
+        try:
+            _tree_search(*args, **kwargs)
+        finally:
+            climb[key] += stats["nodes"] - start
+
+    T, last, done = below.value, None, set()
+    while last is None or T < last:  # at most twice: phase 1, then phase 2
+        keep = []
+        run("collect_nodes", n - 1, s, q, True, budget, stats, [T - 1, None], upper, keep=keep)
+        climb.update(T=T, kept=len(keep))
+        for value, H in sorted(keep, key=itemgetter(0), reverse=True):
+            if value**n < (inc[0] + 1) ** (n - 2):
+                break
+            if tuple(H) not in done:
+                done.add(tuple(H))
+                run("extend_nodes", n, s, q, True, budget, stats, inc, upper, prefix=H)
+        if climb["L"] is None:
+            climb["L"] = inc[0]
+        T, last = _iroot((inc[0] + 1) ** (n - 2) - 1, n) + 1, T
+
+
+def _run_search(
+    n: int, s: int, q: int, mode: str, node_budget: int
+) -> SearchOutcome:
+    t0 = time.perf_counter()
+    _validate(n, s, q)
+    product = mode == "product"
+
+    upper = _averaging_chain(n, s, q, product)
+    seeds = []
+    for g in _seed_witnesses(n, s, q, mode):  # none can exceed upper
+        seeds.append(g)
+        if _graph_value(g, mode) >= upper:
+            break
+    inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
+    inc = [_graph_value(inc_wit, mode), inc_wit]
+    stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+    try:
+        if inc[0] < upper:  # else a seed already meets the root bound
+            if product and n >= s + 2:
+                _climb(n, s, q, node_budget, stats, inc, upper)
+            else:
+                _tree_search(n, s, q, product, node_budget, stats, inc, upper)
     except _Stop:
         pass
-    optimal = nodes <= node_budget
+    inc_val, inc_wit = inc
+    optimal = stats["nodes"] <= node_budget
 
     # soundness: re-verify the winning witness on an independent code path
     if inc_wit.find_violation(s, q) is not None:
@@ -340,7 +433,6 @@ def _run_search(
     if _graph_value(inc_wit, mode) != inc_val:
         raise RuntimeError("engine value does not match its witness")
 
-    stats = {"nodes": nodes, "bound_prunes": bound_prunes, "symmetry_prunes": symmetry_prunes}
     stats["upper"] = inc_val if optimal else upper
     stats["wall_time"] = time.perf_counter() - t0
     stats["seeds"] = len(seeds)

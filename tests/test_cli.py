@@ -57,7 +57,7 @@ class TestSearchCommands:
         assert code == EXIT_USAGE
 
     def test_budget_bound_exit(self, capsys, tmp_path):
-        # (6,4,15) needs 1,839 nodes with the averaging bound, so 40 stops it
+        # (6,4,15) climbs in 856 nodes, 146 of them for ex(5,4,15), so 40 stops it
         code, out, _ = run(
             capsys, "expi", "6", "4", "15", "--budget", "40", "--out", str(tmp_path)
         )
@@ -308,6 +308,10 @@ class TestRangeArguments:
             pytest.param(
                 ["verify", "conjecture", "--r", "3", "--n", "4..5", "--out", "{out}"], "s_base=6",
                 id="conjecture-below-s_base",
+            ),
+            pytest.param(
+                ["verify", "counting", "--n", "-3", "--out", "{out}"], "no n in '-3' reaches s=4",
+                id="counting-below-s",
             ),
             pytest.param(["formulas", "--r", "1"], "no grid point", id="formulas-r-below-2"),
             pytest.param(["formulas", "--a", "2", "--d", "5"], "no grid point", id="formulas-d-above-a-1"),

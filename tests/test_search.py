@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import random
@@ -76,14 +77,15 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 12_542
+        assert out.stats["nodes"] <= 5_784
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 1839, 690, 588, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 12542, 4400, 3727, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 3178, 1538, 927, 95551488)),
+            # a climb (n >= s+2) counts its search of ex(n-1) and both phases
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 856, 434, 195, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 5784, 2247, 1759, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 1447, 843, 342, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 19612, 10495, 6280, 918330048)),
             ("sum", 7, 5, 13, 20_000, (23, False, 20001, 9913, 3261, 26)),
             # the search stops at the leaf where the incumbent meets upper
@@ -246,6 +248,89 @@ class TestLexLeader:
         rng = random.Random(7)
         for _ in range(500):
             self.check([rng.choice((1, 2)) for _ in range(15)], 5)
+
+class TestClimb:
+    """Product searches on n >= s+2 vertices climb from n-1 (search._climb)."""
+
+    @staticmethod
+    def direct(n, s, q):
+        """The direct search at n from the best seed, as run for n <= s+1."""
+        upper = S._averaging_chain(n, s, q, True)
+        seed = max(S._seed_witnesses(n, s, q, "product"), key=Multigraph.edge_product)
+        inc = [seed.edge_product(), seed]
+        if inc[0] < upper:
+            stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+            with contextlib.suppress(S._Stop):
+                S._tree_search(n, s, q, True, S.DEFAULT_NODE_BUDGET, stats, inc, upper)
+        return inc[0]
+
+    def test_matches_the_direct_search_on_the_grid(self):
+        # every product instance of tests/golden/grid.json that climbs
+        for n in range(4, 8):
+            for s in range(2, n - 1):
+                for q in range(16 if n < 7 else 10):
+                    out = S.max_product_search(n, s, q)
+                    assert out.optimal
+                    assert out.value == self.direct(n, s, q), (n, s, q)
+                    assert out.witness.find_violation(s, q) is None
+                    assert out.witness.edge_product() == out.value
+
+    def test_collect_keeps_one_graph_per_optimum(self):
+        nx = pytest.importorskip("networkx", reason="checks isomorphism; not a package dependency")
+        T = 918_330_048  # ex(7,6,41)
+        keep, stats = [], {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+        S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, [T - 1, None], 0, keep=keep)
+        graphs = []
+        for value, weights in keep:
+            G = Multigraph(7, weights)
+            assert value == G.edge_product() == T
+            assert G.find_violation(6, 41) is None
+            graphs.append(nx.Graph())
+            graphs[-1].add_weighted_edges_from(G.pairs())
+        assert len(graphs) == 6
+        match = nx.algorithms.isomorphism.numerical_edge_match("weight", 0)
+        for A, B in combinations(graphs, 2):
+            assert not nx.is_isomorphic(A, B, edge_match=match)
+
+    def test_beats_the_construction_at_eight_vertices(self):
+        # (2,3,1) is (s,q) = (6,41); the optimum is 4/3 of the construction's
+        out = S.max_product_search(8, 6, 41)
+        assert (out.value, out.optimal) == (892_616_806_656, True)
+        assert 3 * out.value == 4 * C.max_edge_product(Params(2, 3, 1), 8).value
+
+    def test_stats_sum_over_phases(self):
+        out = S.max_product_search(7, 4, 15)
+        below = S.max_product_search(6, 4, 15)
+        climb = out.stats["climb"]
+        assert climb == {
+            "seed": 60466176, "L": 60466176, "T": 361596, "kept": 4,
+            "collect_nodes": 4873, "extend_nodes": 55,
+        }
+        assert out.stats["nodes"] == below.stats["nodes"] + climb["collect_nodes"] + climb["extend_nodes"]
+        for key in ("bound_prunes", "symmetry_prunes"):
+            assert out.stats[key] > below.stats[key]
+        assert "climb" not in S.cache_record(7, 4, 15, out)["stats"]
+
+    @pytest.mark.parametrize("budget", [50, 146, 500, 855])
+    def test_budget_bound_in_every_phase(self, budget):
+        # (6,4,15) climbs in 856 nodes: 146 for ex(5,4,15), 669 to collect and
+        # 41 to extend, so each budget stops a different phase
+        out = S.max_product_search(6, 4, 15, node_budget=budget)
+        assert not out.optimal
+        assert out.stats["nodes"] == budget + 1
+        assert out.stats["upper"] == S._averaging_chain(6, 4, 15, True)
+        assert out.witness.find_violation(4, 15) is None
+        assert out.witness.edge_product() == out.value <= 419_904
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize(
+        "n,s,q,value", [(9, 6, 41, 1_735_247_072_139_264), (9, 4, 15, 12_694_994_583_552)]
+    )
+    def test_nine_vertices(self, n, s, q, value):
+        # the direct search needs 1,551,932 nodes for (9,4,15)
+        out = S.max_product_search(n, s, q)
+        assert (out.value, out.optimal) == (value, True)
+
 
 class TestCounting:
     def test_independent_pairs(self):
@@ -426,7 +511,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) needs 1,839 nodes with the averaging bound, so 50 stops it
+        # (6,4,15) climbs in 856 nodes, 146 of them for ex(5,4,15), so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

@@ -9,6 +9,11 @@ Run:  python demos/small_case_search.py
 """
 
 import math
+import os
+
+# OpenBLAS reads this once, when numpy is first imported: the oracle's small
+# float64 matmuls gain no wall time from extra threads, only burn their CPU
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from sqgraphs import constructions as C
 from sqgraphs import formulas as F

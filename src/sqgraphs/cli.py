@@ -209,15 +209,21 @@ def _verify_command(args) -> int:
         if args.suite == "all"
         else [args.suite]
     )
+    # check every selected suite's inputs before any suite runs or writes
+    if "conjecture" in suites:
+        params = Params(args.a, args.r, args.d)
+        conjecture_n = _n_values(args.n, "s_base", params.s_base)
+    if "counting" in suites:
+        if args.a < 2 or args.r < 2:
+            raise ValueError(f"need a, r >= 2, got a={args.a}, r={args.r}")
+        counting_n = _n_values(args.n, "s", 2 * args.r)
     os.makedirs(args.out, exist_ok=True)
     total_hard = 0
     header = [False]
     for suite in suites:
         if suite == "conjecture":
-            params = Params(args.a, args.r, args.d)
             rows = verify.conjecture_checks(
-                params, _n_values(args.n, "s_base", params.s_base),
-                node_budget=args.budget, dps=args.precision,
+                params, conjecture_n, node_budget=args.budget, dps=args.precision
             )
         elif suite == "identities":
             rows = verify.identity_checks(a_max=args.amax, r_max=args.rmax)
@@ -225,7 +231,7 @@ def _verify_command(args) -> int:
             rows = verify.condition_checks()
         elif suite == "counting":
             rows = []
-            for n in _n_values(args.n, "s", 2 * args.r):
+            for n in counting_n:
                 rows.extend(
                     verify.counting_checks(
                         n, args.a, args.r, node_budget=args.budget, dps=args.precision

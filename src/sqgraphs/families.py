@@ -13,15 +13,25 @@ offending minimum-weight pair.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .constructions import max_edge_sum
 from .multigraph import Multigraph, Params
 
 
+@lru_cache(maxsize=None)
+def _grade_bounds(params: Params, s: int) -> tuple[tuple[int, int], ...]:
+    return tuple((sp, max_edge_sum(params, sp).value) for sp in range(2, s + 1))
+
+
 def grade_bounds(params: Params, s: int) -> dict[int, int]:
-    """Construction optimum for every grade s' in 2..s (the family bounds)."""
+    """Construction optimum for every grade s' in 2..s (the family bounds).
+
+    Built once per (params, s); each call gets its own dict.
+    """
     if s < 2:
         raise ValueError(f"need s >= 2, got {s}")
-    return {sp: max_edge_sum(params, sp).value for sp in range(2, s + 1)}
+    return dict(_grade_bounds(params, s))
 
 
 def in_graded_family(G: Multigraph, params: Params) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import time
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
@@ -218,20 +218,17 @@ def _graph_value(G: Multigraph, mode: str) -> int:
 
 
 def _tree_search(
-    n: int, s: int, q: int, product: bool, budget: int, stats: dict, inc: list,
-    upper: int, prefix: Sequence[int] = (), keep: list | None = None,
+    n: int, s: int, q: int, product: bool, budget: int, stats: dict, floor: int,
+    leaf: Callable, prefix: Sequence[int] = (),
 ) -> None:
-    """Branch-and-bound over the pairs after `prefix`, in one of three modes.
-
-    best: inc = [value, witness] is the incumbent; a heavier leaf replaces
-    it, and the one that meets `upper` ends the search with _Stop.
-    collect (keep is a list): inc[0] = T - 1 stays fixed, and each leaf of
-    value >= T goes to keep as (value, weights).
-    extend (prefix holds the weights of an (n-1)-vertex graph H): as best,
-    over the graphs whose vertices 0..n-2 induce H, and with no lex-leader
-    test: every block but the last lies in H, and _climb skips the last.
-    stats counts nodes and prunes across calls; _Stop is raised once the
-    nodes pass budget, with inc and stats current.
+    """Branch-and-bound over the pairs after `prefix`.  Each leaf heavier
+    than `floor` goes to leaf(value, W), which returns the new floor or
+    raises _Stop; the bounds prune only subtrees with no leaf above it.
+    With a prefix (the weights of an (n-1)-vertex graph H) the search runs
+    over the graphs whose vertices 0..n-2 induce H, with no lex-leader test:
+    every block but the last lies in H, and _climb skips the last.  stats
+    counts nodes and prunes across calls, a leaf's own searches included;
+    _Stop is raised once the nodes pass budget, with stats current.
     """
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
@@ -272,7 +269,6 @@ def _tree_search(
     state = [q - (spairs - 1) * wlo] * P, [q] * S, [_amgm(q, spairs)] * S
     for k in range(K):  # the prefix's pairs, set as dfs sets them
         state = step(k, W[k], *state)[:3]
-    inc_val, inc_wit = inc
     nodes = stats["nodes"]
     bound_prunes = symmetry_prunes = 0
 
@@ -281,42 +277,38 @@ def _tree_search(
         if product:
             # Katona cap: am[X] = _amgm(rem[X], m) bounds the product of X's
             # open pairs, each in per_pair = C(n-2, s-2) s-sets, so beating
-            # inc_val needs an open product R > inc_val // acc with
+            # floor needs an open product R > floor // acc with
             # R**per_pair <= cap = prod_X am[X]
-            if (inc_val // acc + 1) ** per_pair > cap:
+            if (floor // acc + 1) ** per_pair > cap:
                 return True
             # total: each open pair e takes at most ub[e]
             base = acc * prod(ubs)
-            if base <= inc_val:
+            if base <= floor:
                 return True
             # per-set: am[X] may replace the product of X's ub (open_sets
             # omits X with m = 1, where am[X] = rem[X] >= ub[e])
             for X, get in open_sets[k]:
                 px = prod(get(ub))
-                if am[X] < px and (base // px) * am[X] <= inc_val:
+                if am[X] < px and (base // px) * am[X] <= floor:
                     return True
             return False
         # total and per-set, as above: X's open pairs add at most rem[X]
         base = acc + sum(ubs)
-        if base <= inc_val:
+        if base <= floor:
             return True
         for X, get in open_sets[k]:
             sx = sum(get(ub))
-            if rem[X] < sx and base - sx + rem[X] <= inc_val:
+            if rem[X] < sx and base - sx + rem[X] <= floor:
                 return True
         return False
 
     def dfs(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> None:
-        nonlocal inc_val, inc_wit, nodes, bound_prunes, symmetry_prunes
+        nonlocal floor, nodes, bound_prunes, symmetry_prunes
         if k == P:
-            if acc > inc_val:
-                if keep is not None:
-                    keep.append((acc, W[:]))
-                    return
-                inc_val = acc
-                inc_wit = Multigraph(n, W)
-                if inc_val >= upper:  # no completion beats the root bound
-                    raise _Stop
+            if acc > floor:
+                stats["nodes"] = nodes  # the leaf may search on from here
+                floor = leaf(acc, W)
+                nodes = stats["nodes"]
             return
         if prune_by_bound(k, acc, cap, ub, rem, am):
             bound_prunes += 1
@@ -341,63 +333,64 @@ def _tree_search(
     try:
         dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
     finally:
-        inc[:] = inc_val, inc_wit
-        stats["nodes"] = nodes
+        stats["nodes"] = max(nodes, stats["nodes"])  # a leaf that raised may have counted on
         stats["bound_prunes"] += bound_prunes
         stats["symmetry_prunes"] += symmetry_prunes
 
 
-def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, upper: int) -> None:
+def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable) -> None:
     """Raise inc to the product optimum on n >= s+2 vertices by adding one
-    vertex to (n-1)-vertex graphs.
+    vertex to (n-1)-vertex graphs; record is the incumbent leaf.
 
     Lemma: each pair of an n-vertex graph G lies in n-2 of the n induced
     subgraphs G-v, so the product over v of P(G-v) is P(G)**(n-2) and some
-    v has P(G-v)**n >= P(G)**(n-2).  G-v is an (s,q)-graph, so a G with
-    P(G) > L adds a vertex to an (n-1)-vertex (s,q)-graph H = G-v of value
-    at least T, the least T with T**n >= (L+1)**(n-2).  Label G so that v
-    is vertex n-1 and H is in its lex-max labeling.  collect at T keeps that
-    H: it passes every block test (see _lex_leader), and the bound at T-1
-    prunes no leaf of value >= T.  extend from H reaches G unless a bound
-    shows G no heavier than the incumbent.  It skips the lex-leader test of
-    the last block {0..n-1}, since putting v last need not give G's lex-max
-    labeling, so the test could reject every labeling of G that extends H.
-    H is extended heaviest first, until P(H)**n < (inc+1)**(n-2).
+    v has P(G-v)**n >= P(G)**(n-2).  So a G with P(G) > inc adds a vertex
+    to an (n-1)-vertex (s,q)-graph H = G-v with P(H) >= T', the least T'
+    with T'**n >= (inc+1)**(n-2).  Label G so that v is vertex n-1 and H is
+    in its lex-max labeling.  A collect at T <= T', a search on n-1
+    vertices with floor T-1, reaches H: H passes every block test (see
+    _lex_leader), and the bounds prune no leaf above the floor.  Its leaf
+    extends each H as it is found, reaching G unless a bound shows G no
+    heavier than inc, and returns max(T, T') - 1, as inc only grows.  The
+    extension skips the lex-leader test of the last block {0..n-1}: putting
+    v last need not give G's lex-max labeling, so the test could reject
+    every labeling of G that extends H.
 
-    Phase 1 extends every optimum at n-1 (collect at T = ex(n-1), from this
-    same routine one level down), to raise the seed's L.  Phase 2 collects
-    at the T of that L and extends the graphs not yet extended.
-    stats["climb"] records the seed value, L, the last T, how many graphs
-    that collect kept, and the nodes of the collects and the extensions.
+    Phase 1 extends every optimum at n-1 (T = ex(n-1), found by this same
+    routine one level down) to raise the seed's L.  Phase 2 collects at the
+    T' of that L and skips the graphs phase 1 extended.  stats["climb"]
+    records the seed value, L, the last T, how many graphs that collect
+    handed over, and the nodes of the collects and extensions.
     """
     below = _run_search(n - 1, s, q, "product", budget - stats["nodes"])
     for key in ("nodes", "bound_prunes", "symmetry_prunes"):
         stats[key] += below.stats[key]
     if not below.optimal:
         raise _Stop
-    climb = stats["climb"] = dict(seed=inc[0], L=None, T=None, kept=0, collect_nodes=0, extend_nodes=0)
+    T, start = below.value, stats["nodes"]
+    climb = stats["climb"] = dict(seed=inc[0], L=None, T=T, kept=0, collect_nodes=0, extend_nodes=0)
 
-    def run(key: str, *args, **kwargs) -> None:
-        start = stats["nodes"]
-        try:
-            _tree_search(*args, **kwargs)
-        finally:
-            climb[key] += stats["nodes"] - start
+    def least_T() -> int:  # T' above
+        return _iroot((inc[0] + 1) ** (n - 2) - 1, n) + 1
 
-    T, last, done = below.value, None, set()
-    while last is None or T < last:  # at most twice: phase 1, then phase 2
-        keep = []
-        run("collect_nodes", n - 1, s, q, True, budget, stats, [T - 1, None], upper, keep=keep)
-        climb.update(T=T, kept=len(keep))
-        for value, H in sorted(keep, key=itemgetter(0), reverse=True):
-            if value**n < (inc[0] + 1) ** (n - 2):
-                break
-            if tuple(H) not in done:
-                done.add(tuple(H))
-                run("extend_nodes", n, s, q, True, budget, stats, inc, upper, prefix=H)
-        if climb["L"] is None:
-            climb["L"] = inc[0]
-        T, last = _iroot((inc[0] + 1) ** (n - 2) - 1, n) + 1, T
+    def extend(value: int, H: list[int]) -> int:
+        climb["kept"] += 1
+        if climb["L"] is None or value < below.value:  # phase 2 skips the optima at n-1
+            nodes = stats["nodes"]
+            try:
+                _tree_search(n, s, q, True, budget, stats, inc[0], record, H)
+            finally:
+                climb["extend_nodes"] += stats["nodes"] - nodes
+        return max(T, least_T()) - 1
+
+    try:
+        _tree_search(n - 1, s, q, True, budget, stats, T - 1, extend)
+        climb["L"], T = inc[0], least_T()
+        if T < below.value:  # phase 2
+            climb.update(T=T, kept=0)
+            _tree_search(n - 1, s, q, True, budget, stats, T - 1, extend)
+    finally:
+        climb["collect_nodes"] = stats["nodes"] - start - climb["extend_nodes"]
 
 
 def _run_search(
@@ -416,12 +409,19 @@ def _run_search(
     inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
     inc = [_graph_value(inc_wit, mode), inc_wit]
     stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+
+    def record(value: int, W: list[int]) -> int:
+        inc[:] = value, Multigraph(n, W)
+        if value >= upper:  # no completion beats the root bound
+            raise _Stop
+        return value
+
     try:
         if inc[0] < upper:  # else a seed already meets the root bound
             if product and n >= s + 2:
-                _climb(n, s, q, node_budget, stats, inc, upper)
+                _climb(n, s, q, node_budget, stats, inc, record)
             else:
-                _tree_search(n, s, q, product, node_budget, stats, inc, upper)
+                _tree_search(n, s, q, product, node_budget, stats, inc[0], record)
     except _Stop:
         pass
     inc_val, inc_wit = inc
@@ -469,9 +469,9 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     # rem[X] is one more than what s-set X may still add, so choices[e], the
     # least rem over the s-sets on e, is the number of weights pair e may
     # take; both are carried by value and lowered on later[k] as in
-    # _run_search.  Once no s-set has two open pairs (open_sets[k] is empty),
-    # the open pairs are independent and the count is the product of their
-    # choices.
+    # _tree_search's step.  Once no s-set has two open pairs (open_sets[k]
+    # is empty), the open pairs are independent and the count is the
+    # product of their choices.
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
         nonlocal nodes
         nodes += 1

@@ -313,6 +313,16 @@ class TestRangeArguments:
                 ["verify", "counting", "--n", "-3", "--out", "{out}"], "no n in '-3' reaches s=4",
                 id="counting-below-s",
             ),
+            # every selected suite's inputs are checked before the first one runs
+            pytest.param(
+                ["verify", "all", "--d", "0", "--r", "3", "--n", "4..5", "--out", "{out}"],
+                "no n in '4..5' reaches s=6", id="all-counting-below-s",
+            ),
+            # a budget-bound count once hid a = 1 behind a skipped row, exit 0
+            pytest.param(
+                ["verify", "counting", "--a", "1", "--n", "4", "--budget", "1", "--out", "{out}"],
+                "need a, r >= 2", id="counting-a-below-2",
+            ),
             pytest.param(["formulas", "--r", "1"], "no grid point", id="formulas-r-below-2"),
             pytest.param(["formulas", "--a", "2", "--d", "5"], "no grid point", id="formulas-d-above-a-1"),
             pytest.param(["expi", "4", "4", "15", "--budget", "0", "--out", "{out}"], "--budget", id="budget-0"),
@@ -349,6 +359,7 @@ class TestRangeArguments:
         assert out == ""
         assert message in err
         assert not os.path.exists(tmp_path / "c.jsonl")
+        assert not list(tmp_path.glob("verify_*"))
 
 
 class TestFormulasCommand:

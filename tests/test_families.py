@@ -56,6 +56,9 @@ class TestMembership:
         assert not in_saturated_family(G, params)
 
     def test_grade_bounds_values(self):
+        bounds = grade_bounds(Params(2, 2, 1), 4)
+        assert bounds == {2: 3, 3: 8, 4: 15}
+        bounds[4] = 0  # the bounds are built once, but each caller owns its dict
         assert grade_bounds(Params(2, 2, 1), 4) == {2: 3, 3: 8, 4: 15}
 
 

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import sys
+from math import comb
 from pathlib import Path
 
+from sqgraphs.formulas import _amgm
 from sqgraphs.search import max_product_search, max_sum_search
 
 GOLDEN = Path(__file__).parent / "golden" / "grid.json"
@@ -48,6 +50,48 @@ def test_grid_values_and_optimality_hold():
     assert not moved, f"values moved (golden, now): {moved}"
     lost = [k for k in golden if golden[k][1] and not got[k][1]]
     assert not lost, f"no longer optimal: {lost}"
+
+
+def test_cross_instance_laws_hold():
+    """Laws between instances that follow from the definition alone, so they
+    share no code with the search's pruning.  A value is a lower bound on
+    its optimum, so the side of a law that needs an upper bound uses only
+    optimal instances."""
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    grid = {}
+    for key, (value, optimal) in golden.items():
+        mode, n, s, q = key.split()
+        grid[mode, int(n), int(s), int(q)] = int(value), optimal
+    cases = dict.fromkeys(("q", "s", "chain", "amgm", "sum_superadditive", "product_superadditive"), 0)
+    broken = []
+
+    def check(law: str, upper_key: tuple, holds) -> None:
+        if grid.get(upper_key, (0, False))[1]:
+            cases[law] += 1
+            if not holds(grid[upper_key][0]):
+                broken.append((law, upper_key))
+
+    for (mode, n, s, q), (value, _) in grid.items():
+        product = mode == "product"
+        # an (s,q)-graph is an (s,q+1)-graph and an (s-1,q)-graph, so ex is
+        # monotone in q and antitone in s
+        check("q", (mode, n, s, q + 1), lambda ex: value <= ex)
+        check("s", (mode, n, s - 1, q), lambda ex: value <= ex)
+        # each pair lies in n-2 of the n induced (n-1)-vertex subgraphs
+        if product:
+            check("chain", (mode, n - 1, s, q), lambda ex: value ** (n - 2) <= ex**n)
+            check("amgm", ("sum", n, s, q), lambda ex: value <= _amgm(ex, comb(n, 2)))
+        else:
+            check("chain", (mode, n - 1, s, q), lambda ex: (n - 2) * value <= n * ex)
+        # the weight-wise sum of two witnesses is an (s, q1+q2)-graph, and
+        # prod(a+b) >= prod(a) + prod(b) for nonnegative weights
+        for q1 in range(1, q // 2 + 1):
+            low = grid[mode, n, s, q1][0] + grid[mode, n, s, q - q1][0]
+            check(f"{mode}_superadditive", (mode, n, s, q), lambda ex: low <= ex)
+    assert not broken, broken
+    # the counts at the time the test was written; optimal flags only grow
+    minimum = dict(q=532, s=394, chain=414, amgm=274, sum_superadditive=845, product_superadditive=960)
+    assert all(cases[law] >= count for law, count in minimum.items()), cases
 
 
 if __name__ == "__main__":

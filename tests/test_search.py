@@ -257,12 +257,19 @@ class TestClimb:
         """The direct search at n from the best seed, as run for n <= s+1."""
         upper = S._averaging_chain(n, s, q, True)
         seed = max(S._seed_witnesses(n, s, q, "product"), key=Multigraph.edge_product)
-        inc = [seed.edge_product(), seed]
-        if inc[0] < upper:
+        best = [seed.edge_product()]
+
+        def leaf(value, W):
+            best[0] = value
+            if value >= upper:
+                raise S._Stop
+            return value
+
+        if best[0] < upper:
             stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
             with contextlib.suppress(S._Stop):
-                S._tree_search(n, s, q, True, S.DEFAULT_NODE_BUDGET, stats, inc, upper)
-        return inc[0]
+                S._tree_search(n, s, q, True, S.DEFAULT_NODE_BUDGET, stats, best[0], leaf)
+        return best[0]
 
     def test_matches_the_direct_search_on_the_grid(self):
         # every product instance of tests/golden/grid.json that climbs
@@ -279,7 +286,12 @@ class TestClimb:
         nx = pytest.importorskip("networkx", reason="checks isomorphism; not a package dependency")
         T = 918_330_048  # ex(7,6,41)
         keep, stats = [], {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
-        S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, [T - 1, None], 0, keep=keep)
+
+        def leaf(value, W):  # keep every leaf; the floor stays at T-1
+            keep.append((value, W[:]))
+            return T - 1
+
+        S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, T - 1, leaf)
         graphs = []
         for value, weights in keep:
             G = Multigraph(7, weights)
@@ -297,6 +309,14 @@ class TestClimb:
         out = S.max_product_search(8, 6, 41)
         assert (out.value, out.optimal) == (892_616_806_656, True)
         assert 3 * out.value == 4 * C.max_edge_product(Params(2, 3, 1), 8).value
+        # the first 7-vertex optimum found extends to it, which lifts the
+        # collect's floor above ex(7) = T: phase 1 ends there, and phase 2
+        # does not run (19,612 nodes go to ex(7) itself)
+        assert out.stats["nodes"] == 39_494
+        assert out.stats["climb"] == {
+            "seed": 669_462_604_992, "L": 892_616_806_656, "T": 918_330_048, "kept": 1,
+            "collect_nodes": 19_752, "extend_nodes": 130,
+        }
 
     def test_stats_sum_over_phases(self):
         out = S.max_product_search(7, 4, 15)

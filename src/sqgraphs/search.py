@@ -338,64 +338,69 @@ def _tree_search(
         stats["symmetry_prunes"] += symmetry_prunes
 
 
-def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable) -> None:
+def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable, keep: int) -> None:
     """Raise inc to the product optimum on n >= s+2 vertices by adding one
     vertex to (n-1)-vertex graphs; record is the incumbent leaf.
 
     Lemma: each pair of an n-vertex graph G lies in n-2 of the n induced
-    subgraphs G-v, so the product over v of P(G-v) is P(G)**(n-2) and some
-    v has P(G-v)**n >= P(G)**(n-2).  So a G with P(G) > inc adds a vertex
-    to an (n-1)-vertex (s,q)-graph H = G-v with P(H) >= T', the least T'
-    with T'**n >= (inc+1)**(n-2).  Label G so that v is vertex n-1 and H is
-    in its lex-max labeling.  A collect at T <= T', a search on n-1
-    vertices with floor T-1, reaches H: H passes every block test (see
-    _lex_leader), and the bounds prune no leaf above the floor.  Its leaf
-    extends each H as it is found, reaching G unless a bound shows G no
-    heavier than inc, and returns max(T, T') - 1, as inc only grows.  The
-    extension skips the lex-leader test of the last block {0..n-1}: putting
-    v last need not give G's lex-max labeling, so the test could reject
-    every labeling of G that extends H.
+    subgraphs G-v, so the product over v of P(G-v) is P(G)**(n-2) and some v
+    has P(G-v)**n >= P(G)**(n-2).  So a G with P(G) > inc adds a vertex to an
+    (n-1)-vertex (s,q)-graph H = G-v with P(H) >= T', the least T' with
+    T'**n >= (inc+1)**(n-2).  Label G so that v is vertex n-1 and H is in its
+    lex-max labeling.  A collect at T <= T', a search on n-1 vertices with
+    floor T-1, reaches H: H passes every block test (see _lex_leader), and the
+    bounds prune no leaf above the floor.  Its leaf extends each H as it is
+    found, reaching G unless a bound shows G no heavier than inc, and returns
+    T' - 1, as inc only grows.  The extension skips the lex-leader test of the
+    last block {0..n-1}: putting v last need not give G's lex-max labeling, so
+    the test could reject every labeling of G that extends H.
 
-    Phase 1 extends every optimum at n-1 (T = ex(n-1), found by this same
-    routine one level down) to raise the seed's L.  Phase 2 collects at the
-    T' of that L and skips the graphs phase 1 extended.  stats["climb"]
-    records the seed value, L, the last T, how many graphs that collect
-    handed over, and the nodes of the collects and extensions.
+    Phase 1 extends the optima that the search of ex(n-1) kept as ties,
+    raising the seed's value to L: all of them if keep (record keeps ties),
+    so that this climb's ties extend every one, else until T' > ex(n-1).
+    Phase 2 collects at the T' of L if T' <= ex(n-1) and skips the labeled
+    graphs phase 1 extended, not all of value ex(n-1): that search may stop
+    at its root bound before it meets every optimum, and a climb's ties keep
+    their extension's labeling.  stats["climb"] holds the seed value, L, the
+    last T, how many graphs the last phase handed over, and the nodes of the
+    phase-2 collect and the extensions.
     """
-    below = _run_search(n - 1, s, q, "product", budget - stats["nodes"])
+    below = _run_search(n - 1, s, q, "product", budget - stats["nodes"], optima := [])
     for key in ("nodes", "bound_prunes", "symmetry_prunes"):
         stats[key] += below.stats[key]
     if not below.optimal:
         raise _Stop
-    T, start = below.value, stats["nodes"]
+    T, start, done = below.value, stats["nodes"], set()
     climb = stats["climb"] = dict(seed=inc[0], L=None, T=T, kept=0, collect_nodes=0, extend_nodes=0)
 
     def least_T() -> int:  # T' above
         return _iroot((inc[0] + 1) ** (n - 2) - 1, n) + 1
 
-    def extend(value: int, H: list[int]) -> int:
+    def extend(value: int, H: Sequence[int]) -> int:
         climb["kept"] += 1
-        if climb["L"] is None or value < below.value:  # phase 2 skips the optima at n-1
+        if tuple(H) not in done:
+            done.add(tuple(H))
             nodes = stats["nodes"]
             try:
-                _tree_search(n, s, q, True, budget, stats, inc[0], record, H)
+                _tree_search(n, s, q, True, budget, stats, inc[0] - keep, record, H)
             finally:
                 climb["extend_nodes"] += stats["nodes"] - nodes
-        return max(T, least_T()) - 1
+        return least_T() - 1
 
     try:
-        _tree_search(n - 1, s, q, True, budget, stats, T - 1, extend)
+        for H in optima:  # phase 1
+            if least_T() > T and not keep:
+                break
+            extend(T, H)
         climb["L"], T = inc[0], least_T()
-        if T < below.value:  # phase 2
+        if T <= below.value:  # phase 2
             climb.update(T=T, kept=0)
             _tree_search(n - 1, s, q, True, budget, stats, T - 1, extend)
     finally:
         climb["collect_nodes"] = stats["nodes"] - start - climb["extend_nodes"]
 
 
-def _run_search(
-    n: int, s: int, q: int, mode: str, node_budget: int
-) -> SearchOutcome:
+def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list | None = None) -> SearchOutcome:
     t0 = time.perf_counter()
     _validate(n, s, q)
     product = mode == "product"
@@ -409,19 +414,24 @@ def _run_search(
     inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
     inc = [_graph_value(inc_wit, mode), inc_wit]
     stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+    # given a list, leaves equal to inc also reach record, which keeps the optima in it
+    ties, keep = ([], 0) if ties is None else (ties, 1)
 
     def record(value: int, W: list[int]) -> int:
-        inc[:] = value, Multigraph(n, W)
+        if value > inc[0]:
+            inc[:] = value, Multigraph(n, W)
+            ties.clear()
+        ties.append(tuple(W))
         if value >= upper:  # no completion beats the root bound
             raise _Stop
-        return value
+        return value - keep
 
     try:
         if inc[0] < upper:  # else a seed already meets the root bound
             if product and n >= s + 2:
-                _climb(n, s, q, node_budget, stats, inc, record)
+                _climb(n, s, q, node_budget, stats, inc, record, keep)
             else:
-                _tree_search(n, s, q, product, node_budget, stats, inc[0], record)
+                _tree_search(n, s, q, product, node_budget, stats, inc[0] - keep, record)
     except _Stop:
         pass
     inc_val, inc_wit = inc

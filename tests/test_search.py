@@ -77,15 +77,16 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 5_784
+        assert out.stats["nodes"] <= 3_778
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
-            # a climb (n >= s+2) counts its search of ex(n-1) and both phases
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 856, 434, 195, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 5784, 2247, 1759, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 1447, 843, 342, 95551488)),
+            # a climb (n >= s+2) counts its search of ex(n-1), which keeps
+            # ties, and both phases
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 709, 345, 168, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 3778, 1458, 1141, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 1221, 688, 302, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 19612, 10495, 6280, 918330048)),
             ("sum", 7, 5, 13, 20_000, (23, False, 20001, 9913, 3261, 26)),
             # the search stops at the leaf where the incumbent meets upper
@@ -273,6 +274,7 @@ class TestClimb:
 
     def test_matches_the_direct_search_on_the_grid(self):
         # every product instance of tests/golden/grid.json that climbs
+        rows = nodes = 0
         for n in range(4, 8):
             for s in range(2, n - 1):
                 for q in range(16 if n < 7 else 10):
@@ -281,75 +283,113 @@ class TestClimb:
                     assert out.value == self.direct(n, s, q), (n, s, q)
                     assert out.witness.find_violation(s, q) is None
                     assert out.witness.edge_product() == out.value
+                    rows, nodes = rows + 1, nodes + out.stats["nodes"]
+        # pinned, so that a row needing more nodes shows here
+        assert (rows, nodes) == (136, 7_349)
+
+    @staticmethod
+    def assert_nonisomorphic_optima(weights, value):
+        """Each weight vector is a (6,41)-graph on 7 vertices of this value,
+        and no two are isomorphic."""
+        nx = pytest.importorskip("networkx", reason="checks isomorphism; not a package dependency")
+        graphs = []
+        for W in weights:
+            G = Multigraph(7, W)
+            assert G.edge_product() == value
+            assert G.find_violation(6, 41) is None
+            graphs.append(nx.Graph())
+            graphs[-1].add_weighted_edges_from(G.pairs())
+        match = nx.algorithms.isomorphism.numerical_edge_match("weight", 0)
+        for A, B in combinations(graphs, 2):
+            assert not nx.is_isomorphic(A, B, edge_match=match)
 
     def test_collect_keeps_one_graph_per_optimum(self):
-        nx = pytest.importorskip("networkx", reason="checks isomorphism; not a package dependency")
         T = 918_330_048  # ex(7,6,41)
         keep, stats = [], {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
 
         def leaf(value, W):  # keep every leaf; the floor stays at T-1
-            keep.append((value, W[:]))
+            assert value == T
+            keep.append(W[:])
             return T - 1
 
         S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, T - 1, leaf)
-        graphs = []
-        for value, weights in keep:
-            G = Multigraph(7, weights)
-            assert value == G.edge_product() == T
-            assert G.find_violation(6, 41) is None
-            graphs.append(nx.Graph())
-            graphs[-1].add_weighted_edges_from(G.pairs())
-        assert len(graphs) == 6
-        match = nx.algorithms.isomorphism.numerical_edge_match("weight", 0)
-        for A, B in combinations(graphs, 2):
-            assert not nx.is_isomorphic(A, B, edge_match=match)
+        assert len(keep) == 6
+        self.assert_nonisomorphic_optima(keep, T)
+
+    def test_ties_hand_over_every_optimum(self):
+        # the search of ex(7,6,41) that feeds the climb at n = 8 keeps ties:
+        # its seed is optimal, so its list holds the lex-max form of each of
+        # the six 7-vertex optima, and the climb extends them from there
+        ties = []
+        out = S._run_search(7, 6, 41, "product", S.DEFAULT_NODE_BUDGET, ties)
+        assert (out.value, out.optimal, out.stats["nodes"]) == (918_330_048, True, 20_442)
+        assert len(ties) == 6
+        for W in ties:
+            assert all(S._lex_leader(list(W), j, S._rank_table(7)) for j in range(2, 7))
+        self.assert_nonisomorphic_optima(ties, out.value)
+        # without ties no leaf beats the seed, and the search needs fewer nodes
+        assert S.max_product_search(7, 6, 41).stats["nodes"] == 19_612
 
     def test_beats_the_construction_at_eight_vertices(self):
         # (2,3,1) is (s,q) = (6,41); the optimum is 4/3 of the construction's
         out = S.max_product_search(8, 6, 41)
         assert (out.value, out.optimal) == (892_616_806_656, True)
         assert 3 * out.value == 4 * C.max_edge_product(Params(2, 3, 1), 8).value
-        # the first 7-vertex optimum found extends to it, which lifts the
-        # collect's floor above ex(7) = T: phase 1 ends there, and phase 2
-        # does not run (19,612 nodes go to ex(7) itself)
-        assert out.stats["nodes"] == 39_494
+        # the search of ex(7) = T keeps its six optima as ties (20,442 nodes);
+        # the first extends to the optimum, which lifts T' above T: phase 1
+        # ends there, and phase 2 does not run
+        assert out.stats["nodes"] == 20_572
         assert out.stats["climb"] == {
             "seed": 669_462_604_992, "L": 892_616_806_656, "T": 918_330_048, "kept": 1,
-            "collect_nodes": 19_752, "extend_nodes": 130,
+            "collect_nodes": 0, "extend_nodes": 130,
         }
 
     def test_stats_sum_over_phases(self):
         out = S.max_product_search(7, 4, 15)
-        below = S.max_product_search(6, 4, 15)
+        below = S._run_search(6, 4, 15, "product", S.DEFAULT_NODE_BUDGET, [])  # keeps ties, as the climb's
         climb = out.stats["climb"]
         assert climb == {
             "seed": 60466176, "L": 60466176, "T": 361596, "kept": 4,
-            "collect_nodes": 4873, "extend_nodes": 55,
+            "collect_nodes": 2990, "extend_nodes": 72,
         }
         assert out.stats["nodes"] == below.stats["nodes"] + climb["collect_nodes"] + climb["extend_nodes"]
         for key in ("bound_prunes", "symmetry_prunes"):
             assert out.stats[key] > below.stats[key]
         assert "climb" not in S.cache_record(7, 4, 15, out)["stats"]
 
-    @pytest.mark.parametrize("budget", [50, 146, 500, 855])
-    def test_budget_bound_in_every_phase(self, budget):
-        # (6,4,15) climbs in 856 nodes: 146 for ex(5,4,15), 669 to collect and
-        # 41 to extend, so each budget stops a different phase
+    @pytest.mark.parametrize(
+        "budget,climb",
+        [
+            (50, None),
+            (160, {"L": None, "T": 7776, "kept": 1, "collect_nodes": 0, "extend_nodes": 4}),
+            (270, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 91, "extend_nodes": 23}),
+            (500, {"L": 419_904, "T": 5608, "kept": 3, "collect_nodes": 303, "extend_nodes": 41}),
+        ],
+        ids=["50", "160", "270", "500"],
+    )
+    def test_budget_bound_in_every_phase(self, budget, climb):
+        # (6,4,15) climbs in 709 nodes: 1-157 find ex(5,4,15), 158-174 extend
+        # its one optimum in phase 1, and phase 2 collects in the rest, save
+        # 266-277 and 387-398 where it extends; so 50, 160, 270 and 500 stop
+        # the search at n-1, a phase-1 extension, a phase-2 extension and the
+        # phase-2 collect
         out = S.max_product_search(6, 4, 15, node_budget=budget)
         assert not out.optimal
         assert out.stats["nodes"] == budget + 1
+        assert out.stats.get("climb") == (climb and {"seed": 419_904, **climb})
         assert out.stats["upper"] == S._averaging_chain(6, 4, 15, True)
         assert out.witness.find_violation(4, 15) is None
         assert out.witness.edge_product() == out.value <= 419_904
 
     @pytest.mark.slow
     @pytest.mark.parametrize(
-        "n,s,q,value", [(9, 6, 41, 1_735_247_072_139_264), (9, 4, 15, 12_694_994_583_552)]
+        "n,s,q,value,nodes",
+        [(9, 6, 41, 1_735_247_072_139_264, 734_147), (9, 4, 15, 12_694_994_583_552, 227_655)],
     )
-    def test_nine_vertices(self, n, s, q, value):
+    def test_nine_vertices(self, n, s, q, value, nodes):
         # the direct search needs 1,551,932 nodes for (9,4,15)
         out = S.max_product_search(n, s, q)
-        assert (out.value, out.optimal) == (value, True)
+        assert (out.value, out.optimal, out.stats["nodes"]) == (value, True, nodes)
 
 
 class TestCounting:
@@ -531,7 +571,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) climbs in 856 nodes, 146 of them for ex(5,4,15), so 50 stops it
+        # (6,4,15) climbs in 709 nodes, 157 of them for ex(5,4,15), so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

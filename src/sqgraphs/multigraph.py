@@ -12,7 +12,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 
@@ -23,6 +25,22 @@ def pair_rank(i: int, j: int) -> int:
     if i > j:
         i, j = j, i
     return j * (j - 1) // 2 + i
+
+
+@lru_cache(maxsize=None)
+def _s_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
+    """Every s-set of 0..n-1 in `combinations` order, with a getter for the
+    weights of its pairs.  Built from `combinations` and `pair_rank` only,
+    so the sparsity check shares no code with the search it verifies.
+    """
+    if not 2 <= s <= n:
+        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    table = []
+    for xs in combinations(range(n), s):
+        ranks = [pair_rank(u, v) for u, v in combinations(xs, 2)]
+        # itemgetter of one index returns the weight itself; a slice keeps a tuple
+        table.append((xs, itemgetter(*ranks) if s > 2 else itemgetter(slice(ranks[0], ranks[0] + 1))))
+    return tuple(table)
 
 
 @dataclass(frozen=True)
@@ -113,9 +131,6 @@ class Multigraph:
             for j in range(i + 1, self.n):
                 yield i, j, self._w[pair_rank(i, j)]
 
-    def max_weight(self) -> int:
-        return max(self._w, default=0)
-
     def min_weight(self) -> int:
         return min(self._w, default=0)
 
@@ -157,43 +172,17 @@ class Multigraph:
     # -- local sparsity -------------------------------------------------------
 
     def find_violation(self, s: int, q: int) -> tuple[int, ...] | None:
-        """Return one s-set with edge sum exceeding q, or None if none exists.
-
-        Subsets are scanned in colex order; a branch is dropped as soon as
-        its partial sum plus the best possible completion cannot exceed q,
-        and a branch whose partial sum already exceeds q is completed with
-        the smallest available vertices.  The scan is exhaustive: None
-        means every s-set sums to at most q.
+        """Return the first s-set, in lexicographic order, whose edge sum
+        exceeds q, or None if every s-set sums to at most q.  The scan is
+        exhaustive, with no pruning: it sums the s-sets of `_s_sets(n, s)`.
         """
-        if not 2 <= s <= self.n:
-            raise ValueError(f"need 2 <= s <= n, got s={s}, n={self.n}")
         if q < 0:
             raise ValueError("q must be >= 0")
-        wmax = self.max_weight()
-        total_pairs = s * (s - 1) // 2
         w = self._w
-        chosen: list[int] = []
-
-        def rec(limit: int, k: int, psum: int) -> tuple[int, ...] | None:
-            done = len(chosen)
-            remaining_pairs = total_pairs - done * (done - 1) // 2
-            if psum + remaining_pairs * wmax <= q:
-                return None
-            if k == 0:
-                return tuple(sorted(chosen)) if psum > q else None
-            if psum > q:
-                # any completion works: take the smallest k unused vertices
-                return tuple(sorted(chosen + list(range(k))))
-            for v in range(k - 1, limit):
-                add = sum(w[pair_rank(u, v)] for u in chosen)
-                chosen.append(v)
-                hit = rec(v, k - 1, psum + add)
-                chosen.pop()
-                if hit is not None:
-                    return hit
-            return None
-
-        return rec(self.n, s, 0)
+        for xs, inside in _s_sets(self.n, s):
+            if sum(inside(w)) > q:
+                return xs
+        return None
 
     def satisfies(self, s: int, q: int) -> bool:
         """True iff every s-set of vertices supports at most q edges."""
@@ -201,15 +190,8 @@ class Multigraph:
 
     def max_subset_sum(self, s: int) -> tuple[int, tuple[int, ...]]:
         """Maximum edge sum over all s-sets, with the first maximizing set."""
-        if not 2 <= s <= self.n:
-            raise ValueError(f"need 2 <= s <= n, got s={s}, n={self.n}")
-        best = -1
-        best_set: tuple[int, ...] = ()
-        for xs in combinations(range(self.n), s):
-            val = self.edge_sum(xs)
-            if val > best:
-                best, best_set = val, xs
-        return best, best_set
+        xs, inside = max(_s_sets(self.n, s), key=lambda entry: sum(entry[1](self._w)))
+        return sum(inside(self._w)), xs
 
     # -- clones and row edits -------------------------------------------------
 

@@ -91,7 +91,7 @@ def conjecture_checks(
     params: Params,
     n_values: list[int],
     node_budget: int = DEFAULT_NODE_BUDGET,
-    dps: int = 30,
+    dps: int = formulas.DEFAULT_DPS,
 ) -> list[CheckReport]:
     """Search vs construction at the base grade, per n.
 
@@ -306,7 +306,7 @@ def condition_checks() -> list[CheckReport]:
 
 
 def counting_checks(
-    n: int, a: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET, dps: int = 30
+    n: int, a: int, r: int, node_budget: int = DEFAULT_NODE_BUDGET, dps: int = formulas.DEFAULT_DPS
 ) -> list[CheckReport]:
     """Exact family count against the asymptotic growth constant (data only)."""
     s = 2 * r

@@ -9,6 +9,8 @@ from itertools import combinations
 
 import pytest
 
+from sqgraphs import constructions as C
+from sqgraphs import search as S
 from sqgraphs.multigraph import Multigraph, Params, pair_rank
 
 
@@ -105,11 +107,28 @@ class TestSparsity:
 
     def test_matches_brute_force(self):
         rng = random.Random(11)
+        cases = []
         for _ in range(40):
             n = rng.randint(3, 7)
             G = random_graph(n, 5, rng)
-            s = rng.randint(2, n)
-            best = max(G.edge_sum(xs) for xs in combinations(range(n), s))
+            cases += [(G, rng.randint(2, n)), (G, 2), (G, n)]
+        # tight graphs, whose heaviest s-sets sit exactly at their own q:
+        # construction members and search witnesses on up to 9 vertices
+        for a, r, d in ((2, 2, 1), (2, 3, 1), (3, 2, 2), (2, 4, 1)):
+            params = Params(a, r, d)
+            for n in range(params.s_base, 10):
+                for optimize in (C.max_edge_sum, C.max_edge_product):
+                    cases.append((C.turan_multigraph(params, optimize(params, n).argmax), params.s_base))
+        for search, n, s, q in (
+            (S.max_product_search, 6, 4, 15), (S.max_product_search, 7, 6, 41),
+            (S.max_product_search, 8, 6, 17), (S.max_product_search, 9, 3, 7),
+            (S.max_sum_search, 9, 4, 15), (S.max_sum_search, 9, 6, 41),
+        ):
+            cases.append((search(n, s, q).witness, s))
+        for G, s in cases:
+            sets = list(combinations(range(G.n), s))
+            best = max(G.edge_sum(xs) for xs in sets)
+            assert G.max_subset_sum(s) == (best, next(xs for xs in sets if G.edge_sum(xs) == best))
             for q in (best - 1, best, best + 3):
                 if q < 0:
                     continue
@@ -117,6 +136,7 @@ class TestSparsity:
                 hit = G.find_violation(s, q)
                 if best > q:
                     assert hit is not None and G.edge_sum(hit) > q
+                    assert hit == next(xs for xs in sets if G.edge_sum(xs) > q)  # the first in lex order
                 else:
                     assert hit is None
 

@@ -344,6 +344,16 @@ class TestClimb:
             "collect_nodes": 0, "extend_nodes": 130,
         }
 
+    def test_phase_two_runs_at_the_optimum_below(self):
+        # phase 1 raises L from the seed's 1 to 4 = ex(7,6,17), so T' =
+        # ex(7): phase 2 still runs, collecting at T' and handing over two
+        # graphs; a climb that skipped phase 2 here would stop at 300 nodes
+        out = S.max_product_search(8, 6, 17)
+        assert (out.value, out.optimal, out.stats["nodes"]) == (4, True, 573)
+        assert out.stats["climb"] == {
+            "seed": 1, "L": 4, "T": 4, "kept": 2, "collect_nodes": 273, "extend_nodes": 7,
+        }
+
     def test_stats_sum_over_phases(self):
         out = S.max_product_search(7, 4, 15)
         below = S._run_search(6, 4, 15, "product", S.DEFAULT_NODE_BUDGET, [])  # keeps ties, as the climb's
@@ -544,7 +554,7 @@ class TestEngineContracts:
         for n, s, q in ((5, 3, 8), (4, 4, 15), (5, 4, 15)):
             out = S.max_product_search(n, s, q)
             cap = q - (math.comb(s, 2) - 1)
-            assert out.witness.max_weight() <= cap
+            assert max(out.witness.weights()) <= cap
             # above the trivial bound the optimum never needs a zero weight
             assert out.witness.min_weight() >= 1
 

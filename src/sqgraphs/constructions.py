@@ -194,12 +194,8 @@ def iterated_multigraph(spec: IteratedSpec, sizes_by_level: Sequence[Sequence[in
     weights = list(base.weights())
     for k in range(1, len(all_sizes)):
         block = sum(all_sizes[k])  # light part of the level above = vertices 0..block-1
-        if block == 0:
+        if block < 2:  # no pair here, nor at any deeper level
             break
-        if block == 1:
-            continue
-        inner = turan_multigraph(level_params[k], all_sizes[k])
-        for j in range(1, block):
-            for i in range(j):
-                weights[pair_rank(i, j)] = inner.weight(i, j)
+        inner = turan_multigraph(level_params[k], all_sizes[k]).weights()
+        weights[: len(inner)] = inner  # the pairs inside 0..block-1 are a colex prefix
     return Multigraph(n, weights)

@@ -227,8 +227,8 @@ def _tree_search(
     With a prefix (the weights of an (n-1)-vertex graph H) the search runs
     over the graphs whose vertices 0..n-2 induce H, with no lex-leader test:
     every block but the last lies in H, and _climb skips the last.  stats
-    counts nodes and prunes across calls, a leaf's own searches included;
-    _Stop is raised once the nodes pass budget, with stats current.
+    counts nodes and prunes in place, a leaf's own searches included, and
+    _Stop is raised once stats["nodes"] passes budget.
     """
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
@@ -269,8 +269,6 @@ def _tree_search(
     state = [q - (spairs - 1) * wlo] * P, [q] * S, [_amgm(q, spairs)] * S
     for k in range(K):  # the prefix's pairs, set as dfs sets them
         state = step(k, W[k], *state)[:3]
-    nodes = stats["nodes"]
-    bound_prunes = symmetry_prunes = 0
 
     def prune_by_bound(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
         ubs = ub[k:]
@@ -303,26 +301,24 @@ def _tree_search(
         return False
 
     def dfs(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> None:
-        nonlocal floor, nodes, bound_prunes, symmetry_prunes
+        nonlocal floor
         if k == P:
             if acc > floor:
-                stats["nodes"] = nodes  # the leaf may search on from here
                 floor = leaf(acc, W)
-                nodes = stats["nodes"]
             return
         if prune_by_bound(k, acc, cap, ub, rem, am):
-            bound_prunes += 1
+            stats["bound_prunes"] += 1
             return
         if product:
             old = prod(am[X] for X, _ in later[k])  # nonzero: every am[X] >= 1
         j = block.get(k)
         for w in range(ub[k], wlo - 1, -1):
-            nodes += 1
-            if nodes > budget:
+            stats["nodes"] += 1
+            if stats["nodes"] > budget:
                 raise _Stop
             W[k] = w
             if j and not _lex_leader(W, j, R):
-                symmetry_prunes += 1
+                stats["symmetry_prunes"] += 1
                 continue
             child, crem, cam, new = step(k, w, ub, rem, am)
             if product:
@@ -330,12 +326,7 @@ def _tree_search(
             else:
                 dfs(k + 1, acc + w, cap, child, crem, cam)
 
-    try:
-        dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
-    finally:
-        stats["nodes"] = max(nodes, stats["nodes"])  # a leaf that raised may have counted on
-        stats["bound_prunes"] += bound_prunes
-        stats["symmetry_prunes"] += symmetry_prunes
+    dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
 
 
 def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable, keep: int) -> None:
@@ -489,8 +480,6 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
             raise BudgetExceededError(
                 f"count({n},{s},{q}) exceeded the node budget of {node_budget}"
             )
-        if k == P:
-            return 1
         if not open_sets[k]:
             return prod(choices[k:])
         total = 0

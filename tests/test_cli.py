@@ -50,6 +50,12 @@ class TestSearchCommands:
         assert code == EXIT_OK
         assert record_fields(out)["value"] == "84"
 
+    def test_count_budget_exit(self, capsys):
+        code, out, err = run(capsys, "count", "6", "4", "9", "--budget", "1000")
+        assert code == EXIT_BUDGET
+        assert out == ""
+        assert err == "error: count(6,4,9) exceeded the node budget of 1000\n"
+
     def test_usage_error(self, capsys, tmp_path):
         code, _, _ = run(capsys, "expi", "3", "9", "1", "--out", str(tmp_path))
         assert code == EXIT_USAGE

@@ -496,6 +496,15 @@ class TestOracle:
                     assert out.value == S._graph_value(best, mode)
                     assert out.witness.weights() == best.weights()
 
+    @pytest.mark.parametrize("n,cap", [(3, 3), (4, 2), (5, 1)])
+    def test_decode_is_one_to_one(self, n, cap):
+        """Indices 0..(cap+1)^P - 1 decode onto every assignment with entries
+        <= cap, each once, and index i's largest entry is _iroot(i, P)."""
+        P = n * (n - 1) // 2
+        decoded = [S._decode_assignment(n, i).weights() for i in range((cap + 1) ** P)]
+        assert sorted(decoded) == list(product(range(cap + 1), repeat=P))
+        assert all(max(w) == S._iroot(i, P) for i, w in enumerate(decoded))
+
     def test_witness_is_sound(self):
         out = S.brute_force(4, 3, 7, "product", 7)
         assert out.witness.satisfies(3, 7)

@@ -66,6 +66,15 @@ class TestCountingSuite:
         assert all(r.status == V.REPORTED for r in rows)
         assert any("skipped" in r.note for r in rows)
 
+    def test_budget_bound_count_skipped(self):
+        # the row verify all prints at n = 6
+        assert V.counting_checks(6, 2, 2, node_budget=1000) == [
+            V.CheckReport(
+                "counting_density", "n=6 a=2 r=2 s=4 q=9", V.REPORTED, "", "",
+                "skipped: count(6,4,9) exceeded the node budget of 1000",
+            )
+        ]
+
 
 class TestTransformationSuite:
     def test_statuses_and_determinism(self):

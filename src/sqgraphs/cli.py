@@ -203,12 +203,12 @@ def _iterate_command(args) -> int:
     return EXIT_OK
 
 
+# the verify suites, in the order `verify all` runs them
+_SUITES = ("conjecture", "identities", "conditions", "counting", "transformations")
+
+
 def _verify_command(args) -> int:
-    suites = (
-        ["conjecture", "identities", "conditions", "counting", "transformations"]
-        if args.suite == "all"
-        else [args.suite]
-    )
+    suites = _SUITES if args.suite == "all" else (args.suite,)
     # check every selected suite's inputs before any suite runs or writes
     if "conjecture" in suites:
         params = Params(args.a, args.r, args.d)
@@ -218,50 +218,30 @@ def _verify_command(args) -> int:
             raise ValueError(f"need a, r >= 2, got a={args.a}, r={args.r}")
         counting_n = _n_values(args.n, "s", 2 * args.r)
     os.makedirs(args.out, exist_ok=True)
-    total_hard = 0
+    # one row builder per suite, in _SUITES order; built per call, so the
+    # verify.*_checks in place when the command runs is the one that runs
+    builders = (
+        lambda: verify.conjecture_checks(params, conjecture_n, node_budget=args.budget, dps=args.precision),
+        lambda: verify.identity_checks(a_max=args.amax, r_max=args.rmax),
+        verify.condition_checks,
+        lambda: [
+            row
+            for n in counting_n
+            for row in verify.counting_checks(n, args.a, args.r, node_budget=args.budget, dps=args.precision)
+        ],
+        lambda: verify.transformation_checks(trials=args.trials, seed=args.seed),
+    )
+    run = dict(zip(_SUITES, builders, strict=True))
     header = [False]
     for suite in suites:
-        if suite == "conjecture":
-            rows = verify.conjecture_checks(
-                params, conjecture_n, node_budget=args.budget, dps=args.precision
-            )
-        elif suite == "identities":
-            rows = verify.identity_checks(a_max=args.amax, r_max=args.rmax)
-        elif suite == "conditions":
-            rows = verify.condition_checks()
-        elif suite == "counting":
-            rows = []
-            for n in counting_n:
-                rows.extend(
-                    verify.counting_checks(
-                        n, args.a, args.r, node_budget=args.budget, dps=args.precision
-                    )
-                )
-        else:
-            rows = verify.transformation_checks(
-                trials=args.trials, seed=args.seed
-            )
-        base = os.path.join(args.out, f"verify_{suite}")
-        verify.write_reports(rows, base)
+        rows = run[suite]()
+        verify.write_reports(rows, os.path.join(args.out, f"verify_{suite}"))
         for row in rows:
-            _emit(
-                {
-                    "check": row.name,
-                    "point": f"[{row.point}]",
-                    "status": row.status,
-                    "left": row.left or "-",
-                    "right": row.right or "-",
-                    "note": row.note or "-",
-                },
-                args,
-                header,
-            )
-        hard = verify.hard_failures(rows)
-        total_hard += len(hard)
-        if hard:
+            _emit(row.record(), args, header)
+        if verify.hard_failures(rows):
             # a failed theorem-backed check aborts the remaining suites
-            break
-    return EXIT_HARD_FAIL if total_hard else EXIT_OK
+            return EXIT_HARD_FAIL
+    return EXIT_OK
 
 
 def _formulas_command(args) -> int:
@@ -344,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None, help="subset size for the sparsity scan")
 
     p = command("verify", "run a check suite", _verify_command, "--budget", "--precision", "--out", "--format")
-    p.add_argument(
-        "suite",
-        choices=("conjecture", "identities", "conditions", "counting", "transformations", "all"),
-    )
+    p.add_argument("suite", choices=(*_SUITES, "all"))
     p.add_argument("--a", type=int, default=2)
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--d", type=int, default=1)

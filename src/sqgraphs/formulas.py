@@ -165,15 +165,6 @@ def _amgm(total: int, count: int) -> int:
     return base ** (count - extra) * (base + 1) ** extra
 
 
-def am_gm_bound(a: int, n: int, t: int) -> int:
-    """Maximum product of n nonnegative integers with sum a*n + t: a^(n-t)(a+1)^t."""
-    if a < 0:
-        raise ValueError(f"a must be >= 0, got {a}")
-    if not 0 <= t <= n:
-        raise ValueError(f"t must satisfy 0 <= t <= n, got t={t}, n={n}")
-    return _amgm(a * n + t, n)
-
-
 def part_size_condition(a: int, d: int, size: int) -> bool:
     """Exact check of the replicated-part inequalities at a given part size R.
 

@@ -190,7 +190,8 @@ class Multigraph:
 
     def max_subset_sum(self, s: int) -> tuple[int, tuple[int, ...]]:
         """Maximum edge sum over all s-sets, with the first maximizing set."""
-        xs, inside = max(_s_sets(self.n, s), key=lambda entry: sum(entry[1](self._w)))
+        # one scan, so the table is built outside the cache and dropped after
+        xs, inside = max(_s_sets.__wrapped__(self.n, s), key=lambda entry: sum(entry[1](self._w)))
         return sum(inside(self._w)), xs
 
     # -- clones and row edits -------------------------------------------------

@@ -45,6 +45,17 @@ class CheckReport:
     right: str = ""
     note: str = ""
 
+    def record(self) -> dict[str, str]:
+        """The row as a report record; ``-`` stands for an empty field."""
+        return {
+            "check": self.name,
+            "point": f"[{self.point}]",
+            "status": self.status,
+            "left": self.left or "-",
+            "right": self.right or "-",
+            "note": self.note or "-",
+        }
+
 
 # name -> (kind, rationale).  Hard checks back finite claims; reported-only
 # rows carry conjecture instances or asymptotic trends as data.
@@ -429,10 +440,7 @@ def transformation_checks(trials: int = 1000, seed: int = 20240817) -> list[Chec
 
 
 def format_report_line(r: CheckReport) -> str:
-    return (
-        f"check={r.name} point=[{r.point}] status={r.status} "
-        f"left={r.left or '-'} right={r.right or '-'} note={r.note or '-'}"
-    )
+    return " ".join(f"{k}={v}" for k, v in r.record().items())
 
 
 def write_reports(reports: list[CheckReport], base_path: str) -> tuple[str, str]:

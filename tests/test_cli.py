@@ -290,6 +290,22 @@ class TestVerifyCommand:
         assert code == EXIT_HARD_FAIL
         assert "check=transform_preserves_clones" in out
 
+    def test_hard_failure_stops_the_remaining_suites(self, capsys, tmp_path, monkeypatch):
+        from sqgraphs import verify
+        from sqgraphs.cli import EXIT_HARD_FAIL
+
+        code, conjecture_out, _ = run(capsys, "verify", "conjecture", "--n", "4", "--out", str(tmp_path / "c"))
+        assert code == EXIT_OK
+        failed = verify.CheckReport("sum_difference_step", "a=2", verify.FAIL, "1", "2")
+        monkeypatch.setattr(verify, "identity_checks", lambda **kwargs: [failed])
+        code, out, _ = run(capsys, "verify", "all", "--n", "4", "--out", str(tmp_path / "all"))
+        assert code == EXIT_HARD_FAIL
+        assert out == conjecture_out + verify.format_report_line(failed) + "\n"
+        assert sorted(os.listdir(tmp_path / "all")) == [
+            "verify_conjecture.csv", "verify_conjecture.txt",
+            "verify_identities.csv", "verify_identities.txt",
+        ]
+
 
 class TestRangeArguments:
     def test_empty_formulas_range(self, capsys, tmp_path):

@@ -46,6 +46,7 @@ COMMANDS = [
     "verify identities --amax 3 --rmax 3 --out o",
     "verify transformations --trials 50 --out o",
     "verify counting --n 4 --out o",
+    "verify counting --n 4..5 --format csv --out o",
     "verify conjecture --n 4..5 --out o",
 ]
 

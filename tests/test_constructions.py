@@ -228,6 +228,15 @@ class TestIterated:
         assert not G.satisfies(4, q - 1)
         assert G.edge_sum(best_set) == q
 
+    def test_single_vertex_light_part_ends_the_nesting(self):
+        # a one-vertex light part has no pair, so the deeper levels add nothing
+        spec = C.IteratedSpec(3, ((2, 1), (2, 1)))
+        flat = C.turan_multigraph(Params(3, 2, 1), (1, 4))
+        assert C.iterated_multigraph(spec, [(1, 4), (1, 0)]) == flat
+        spec = C.IteratedSpec(4, ((2, 1),) * 3)
+        flat = C.turan_multigraph(Params(4, 2, 1), (1, 3))
+        assert C.iterated_multigraph(spec, [(1, 3), (1, 0), (1, 0)]) == flat
+
     def test_inconsistent_nesting_rejected(self):
         spec = C.IteratedSpec(3, ((2, 1), (2, 1)))
         with pytest.raises(ValueError):

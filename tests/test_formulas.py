@@ -168,16 +168,17 @@ def brute_best_product(total: int, count: int) -> int:
 
 class TestAmGm:
     def test_pinned(self):
-        assert F.am_gm_bound(2, 6, 3) == 216
+        assert F._amgm(15, 6) == 216
 
     def test_equal_split(self):
-        assert F.am_gm_bound(3, 5, 0) == 3 ** 5
+        assert F._amgm(15, 5) == 3 ** 5
 
     @pytest.mark.parametrize("a", [0, 1, 2, 3])
     def test_matches_brute_force(self, a):
-        for n in range(1, 7):
-            for t in range(0, n + 1):
-                assert F.am_gm_bound(a, n, t) == brute_best_product(a * n + t, n)
+        # totals a*count .. (a+1)*count + 1; over a = 0..3, every total to 4*count + 1
+        for count in range(0, 7):
+            for total in range(a * count, (a + 1) * count + 2):
+                assert F._amgm(total, count) == brute_best_product(total, count)
 
     def test_dominates_random_vectors(self):
         rng = random.Random(31)
@@ -189,11 +190,7 @@ class TestAmGm:
             vec = [0] * n
             for _ in range(total):
                 vec[rng.randrange(n)] += 1
-            assert math.prod(vec) <= F.am_gm_bound(a, n, t)
-
-    def test_rejects_bad_surplus(self):
-        with pytest.raises(ValueError):
-            F.am_gm_bound(2, 3, 4)
+            assert math.prod(vec) <= F._amgm(total, n)
 
 
 class TestPartSizeCondition:

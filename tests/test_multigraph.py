@@ -10,6 +10,7 @@ from itertools import combinations
 import pytest
 
 from sqgraphs import constructions as C
+from sqgraphs import multigraph as M
 from sqgraphs import search as S
 from sqgraphs.multigraph import Multigraph, Params, pair_rank
 
@@ -146,6 +147,12 @@ class TestSparsity:
         best, xs = G.max_subset_sum(3)
         assert best == max(G.edge_sum(c) for c in combinations(range(6), 3))
         assert G.edge_sum(xs) == best
+
+    def test_max_subset_sum_leaves_no_table_cached(self):
+        # a one-shot scan; only find_violation's callers reuse s-set tables
+        before = M._s_sets.cache_info()
+        assert Multigraph.constant(12, 1).max_subset_sum(5)[0] == 10
+        assert M._s_sets.cache_info() == before
 
     def test_bad_grade_rejected(self):
         G = Multigraph.constant(4, 1)

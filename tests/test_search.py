@@ -13,7 +13,7 @@ import pytest
 
 from sqgraphs import constructions as C
 from sqgraphs import search as S
-from sqgraphs.formulas import am_gm_bound
+from sqgraphs.formulas import _amgm
 from sqgraphs.multigraph import Multigraph, Params, pair_rank
 
 
@@ -35,7 +35,7 @@ class TestPinnedInstances:
         assert isomorphic(out.witness, C.turan_multigraph(Params(2, 2, 1), (1, 3)))
 
     def test_product_exact_multiple_case(self):
-        assert S.max_product_search(4, 4, 12).value == am_gm_bound(2, 6, 0) == 64
+        assert S.max_product_search(4, 4, 12).value == _amgm(12, 6) == 64
 
     def test_product_equals_amgm_at_exact_grade(self):
         for s in (2, 3, 4):

@@ -267,13 +267,12 @@ def _formulas_command(args) -> int:
             "sum_density_limit": str(formulas.sum_density_limit(params)),
             "plateau_density": str(formulas.plateau_density(a, r, args.precision)),
             "cross_gain": str(formulas.cross_gain_condition(a, r, d)).lower(),
+            # every record has every column; "-" where a key does not apply
+            "min_part_size": formulas.min_part_size(a, d) if d >= 1 else "-",
+            "product_density_limit": (  # d == 1 implies a >= 2
+                str(formulas.product_density_limit(a, r, args.precision)) if d == 1 else "-"
+            ),
         }
-        if d >= 1:
-            record["min_part_size"] = formulas.min_part_size(a, d)
-        if d == 1 and a >= 2:
-            record["product_density_limit"] = str(
-                formulas.product_density_limit(a, r, args.precision)
-            )
         _emit(record, args, header)
     return EXIT_OK
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .multigraph import Multigraph, Params, pair_rank
+from .multigraph import Multigraph, Params
 
 
 @dataclass(frozen=True)
@@ -73,20 +73,11 @@ def turan_multigraph(params: Params, sizes: Sequence[int]) -> Multigraph:
     n = sum(sz)
     if n < 1:
         raise ValueError("construction needs at least one vertex")
-    part_of = []
-    for idx, v in enumerate(sz):
-        part_of.extend([idx] * v)
     a, d = params.a, params.d
-    weights = [0] * (n * (n - 1) // 2)
-    for j in range(1, n):
-        for i in range(j):
-            if part_of[i] != part_of[j]:
-                w = a + 1
-            elif part_of[i] == 0:
-                w = a - d
-            else:
-                w = a
-            weights[pair_rank(i, j)] = w
+    part = [p for p, v in enumerate(sz) for _ in range(v)]
+    inside = [a - d] + [a] * (params.r - 1)
+    # colex order: j outer, i < j inner
+    weights = [inside[pi] if pi == pj else a + 1 for j, pj in enumerate(part) for pi in part[:j]]
     return Multigraph(n, weights)
 
 

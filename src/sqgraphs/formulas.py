@@ -63,8 +63,6 @@ def light_part_fraction(params: Params, dps: int = DEFAULT_DPS) -> BigReal:
     a, r, d = params.a, params.r, params.d
     if r < 2:
         raise ValueError(f"need r >= 2, got r={r}")
-    if a - d < 1:
-        raise ValueError("need a - d >= 1")
     with mp.workdps(dps):
         num = mp.log(a + 1) - mp.log(a)
         den = r * mp.log(a + 1) - mp.log(a) - (r - 1) * mp.log(a - d)
@@ -106,8 +104,6 @@ def construction_density_limit(params: Params, dps: int = DEFAULT_DPS) -> BigRea
     fraction for (a, r, d).
     """
     a, r = params.a, params.r
-    if r < 2:
-        raise ValueError(f"need r >= 2, got r={r}")
     with mp.workdps(dps):
         x = light_part_fraction(params, dps).value
         val = mp.power(a, (1 - x) / (r - 1)) * mp.power(a + 1, (r - 2 + x) / (r - 1))

@@ -240,10 +240,11 @@ class Multigraph:
         if type(n) is not int or n < 1:
             raise ValueError(f"invalid vertex count {n!r}")
         expected = n * (n - 1) // 2
-        weights: list[int | None] = [None] * expected
         edges = data["edges"]
+        # sized before allocating: n comes from untrusted input
         if not isinstance(edges, list) or len(edges) != expected:
             raise ValueError(f"expected exactly {expected} edge entries, got {len(edges) if isinstance(edges, list) else type(edges)}")
+        weights: list[int | None] = [None] * expected
         for entry in edges:
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise ValueError(f"bad edge entry {entry!r}")

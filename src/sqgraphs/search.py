@@ -217,6 +217,16 @@ def _graph_value(G: Multigraph, mode: str) -> int:
     return G.edge_product() if mode == "product" else G.edge_sum()
 
 
+def _certified(G: Multigraph, n: int, s: int, q: int, mode: str, value: int) -> bool:
+    """Whether G is an (s,q)-graph on n vertices whose edge sum or product is value.
+
+    Every reported witness, from the engine, the oracle or the cache, must
+    pass this one check.  It re-verifies on an independent code path: it
+    uses only Multigraph, none of the search's tables or bounds.
+    """
+    return G.n == n and G.find_violation(s, q) is None and _graph_value(G, mode) == value
+
+
 def _tree_search(
     n: int, s: int, q: int, product: bool, budget: int, stats: dict, floor: int,
     leaf: Callable, prefix: Sequence[int] = (),
@@ -397,13 +407,13 @@ def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list 
     product = mode == "product"
 
     upper = _averaging_chain(n, s, q, product)
-    seeds = []
-    for g in _seed_witnesses(n, s, q, mode):  # none can exceed upper
-        seeds.append(g)
-        if _graph_value(g, mode) >= upper:
+    inc = [-1, None]
+    for seeds, g in enumerate(_seed_witnesses(n, s, q, mode), 1):  # none can exceed upper
+        value = _graph_value(g, mode)
+        if value > inc[0]:  # strictly, so the first maximal seed stays
+            inc[:] = value, g
+        if value >= upper:
             break
-    inc_wit = max(seeds, key=lambda g: _graph_value(g, mode))
-    inc = [_graph_value(inc_wit, mode), inc_wit]
     stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
     # given a list, leaves equal to inc also reach record, which keeps the optima in it
     ties, keep = ([], 0) if ties is None else (ties, 1)
@@ -428,15 +438,12 @@ def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list 
     inc_val, inc_wit = inc
     optimal = stats["nodes"] <= node_budget
 
-    # soundness: re-verify the winning witness on an independent code path
-    if inc_wit.find_violation(s, q) is not None:
-        raise RuntimeError("engine produced an infeasible witness")
-    if _graph_value(inc_wit, mode) != inc_val:
-        raise RuntimeError("engine value does not match its witness")
+    if not _certified(inc_wit, n, s, q, mode, inc_val):
+        raise RuntimeError("engine witness fails its certificate")
 
     stats["upper"] = inc_val if optimal else upper
     stats["wall_time"] = time.perf_counter() - t0
-    stats["seeds"] = len(seeds)
+    stats["seeds"] = seeds
     stats["source"] = "search"
     return SearchOutcome(mode=mode, value=inc_val, witness=inc_wit, optimal=optimal, stats=stats)
 
@@ -649,10 +656,8 @@ def brute_force(
         raise RuntimeError("no feasible assignment found (unreachable: 0 is feasible)")
     value, code = divmod(best, _IDX)
     witness = _decode_assignment(n, _IDX - 1 - code)
-    if witness.find_violation(s, q) is not None:
-        raise RuntimeError("oracle produced an infeasible witness")
-    if _graph_value(witness, mode) != value:
-        raise RuntimeError("oracle value does not match its witness")
+    if not _certified(witness, n, s, q, mode, value):
+        raise RuntimeError("oracle witness fails its certificate")
     stats["wall_time"] = time.perf_counter() - t0
     return SearchOutcome(mode, value, witness, True, stats)
 
@@ -718,11 +723,11 @@ def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcom
     """Reload an optimal cached outcome, or None if absent, non-optimal or unsound.
 
     A record is served only when its "optimal" is JSON true and its
-    witness is an (s,q)-graph on n vertices with exactly the stored
-    value; anything else is a miss, so the caller searches again.  The
-    witness proves only that the value is attained, a lower bound: the
-    "optimal" flag itself is trusted, so a record edited to a worse
-    value with a matching feasible witness is served as optimal.
+    witness passes _certified at the stored value; anything else is a
+    miss, so the caller searches again.  The witness proves only that the
+    value is attained, a lower bound: the "optimal" flag itself is
+    trusted, so a record edited to a worse value with a matching feasible
+    witness is served as optimal.
     """
     rec = load_cache(path).get((n, s, q, mode))
     if rec is None or rec.get("optimal") is not True:
@@ -733,11 +738,7 @@ def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcom
         stats = dict(rec.get("stats", {}))
     except (KeyError, TypeError, ValueError):
         return None
-    if (
-        witness.n != n
-        or witness.find_violation(s, q) is not None
-        or _graph_value(witness, mode) != value
-    ):
+    if not _certified(witness, n, s, q, mode, value):
         return None
     stats["source"] = "cache"
     stats["upper"] = value

@@ -294,18 +294,15 @@ def condition_checks() -> list[CheckReport]:
         )
     )
 
-    ok = True
-    detail = ""
-    for d in range(1, 6):
-        for a in range(d + 1, 31):
-            for r in range(d * (d + 1), d * (d + 1) + 11):
-                if not formulas.cross_gain_condition(a, r, d):
-                    ok, detail = False, f"a={a} r={r} d={d}"
-                    break
+    bad = next((  # the first counterexample, or ""
+        f"a={a} r={r} d={d}"
+        for d in range(1, 6) for a in range(d + 1, 31) for r in range(d * (d + 1), d * (d + 1) + 11)
+        if not formulas.cross_gain_condition(a, r, d)
+    ), "")
     out.append(
         CheckReport(
             "cross_gain_many_parts", "d=1..5 a<=30 r=d(d+1)..d(d+1)+10",
-            PASS if ok else FAIL, "", "", detail or "all hold",
+            PASS if not bad else FAIL, "", "", bad or "all hold",
         )
     )
     return _sorted(out)

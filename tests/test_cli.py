@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 
@@ -160,6 +162,18 @@ class TestSearchCommands:
         assert fields["source"] == "search" and fields["value"] == "15"
         assert len(open(cache).read().splitlines()) == 3
 
+    def test_cache_oversized_witness_is_searched_again(self, capsys, tmp_path):
+        # untrusted n: sized against its edge list, never allocated
+        cache = str(tmp_path / "cache.jsonl")
+        rec = cache_record(4, 4, 15, SearchOutcome("product", 216, None, True, {}))
+        rec["witness"] = {"n": 10**8, "edges": []}
+        with open(cache, "w") as fh:
+            fh.write(json.dumps(rec) + "\n")
+        code, out, _ = run(capsys, "expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert fields["source"] == "search" and fields["value"] == "216"
+
     @pytest.mark.xfail(
         strict=True,
         reason="ROADMAP item 7: a cached record's optimal flag is trusted, so a worse"
@@ -250,6 +264,18 @@ class TestIterateCommand:
         witness = Multigraph.loads(open(rec["witness"]).read())
         assert witness.satisfies(int(rec["s"]), int(rec["max_subset_sum"]))
         assert not witness.satisfies(int(rec["s"]), int(rec["max_subset_sum"]) - 1)
+
+    def test_more_sizes_than_levels_rejected(self, capsys, tmp_path):
+        out_dir = tmp_path / "o"
+        code, out, err = run(
+            capsys,
+            "iterate", "--a", "3", "--level", "2,1",
+            "--sizes", "4,5", "--sizes", "2,2", "--out", str(out_dir),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "expected sizes for 1 levels, got 2" in err
+        assert not out_dir.exists()
 
     def test_inconsistent_sizes_rejected(self, capsys, tmp_path):
         code, _, err = run(
@@ -396,3 +422,12 @@ class TestFormulasCommand:
         rec = record_fields(lines[0])
         assert rec["a"] == "2" and rec["min_part_size"] == "3"
         assert rec["product_density_limit"].startswith("2.2310032")
+
+    def test_csv_is_a_table(self, capsys):
+        code, out, _ = run(capsys, "formulas", "--format", "csv")
+        assert code == EXIT_OK
+        header, *rows = list(csv.reader(io.StringIO(out)))
+        assert header[-2:] == ["min_part_size", "product_density_limit"]
+        assert rows and all(len(row) == len(header) for row in rows)
+        by_d = {row[2]: row[-2:] for row in rows}
+        assert by_d["0"] == ["-", "-"] and by_d["2"][1] == "-"

@@ -229,6 +229,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Multigraph.loads(text)
 
+    def test_edge_count_checked_before_allocating(self):
+        # a list of n(n-1)/2 entries at n = 10**8 would take about 40 PB
+        with pytest.raises(ValueError, match="edge entries"):
+            Multigraph.from_dict({"n": 10**8, "edges": []})
+
     def test_bad_weight_rejected(self):
         with pytest.raises(ValueError):
             Multigraph.from_dict(

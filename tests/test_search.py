@@ -182,6 +182,18 @@ class TestSeeds:
                         assert best_new.weights() == best_ref.weights(), (n, s, q, mode)
                         assert {g.weights() for g in new} <= {g.weights() for g in ref}
 
+    def test_run_search_keeps_the_first_maximal_seed(self, monkeypatch):
+        best = S.max_sum_search(5, 3, 4).witness  # 12, below the root bound 13
+        relabeled = [0] * 10
+        for i, j, w in best.pairs():
+            relabeled[pair_rank((i + 1) % 5, (j + 1) % 5)] = w
+        seeds = [Multigraph.constant(5, 1), Multigraph(5, relabeled), best]
+        assert tuple(relabeled) != best.weights()
+        monkeypatch.setattr(S, "_seed_witnesses", lambda *args: iter(seeds))
+        out = S.max_sum_search(5, 3, 4)
+        assert (out.value, out.optimal, out.stats["seeds"]) == (12, True, 3)
+        assert out.witness.weights() == tuple(relabeled)
+
     def test_seed_count_does_not_grow_with_q(self):
         # the full enumeration built 493 seeds at q = 301 and never finished
         # at q = 10**6; no seed meets the root bound on either instance
@@ -505,6 +517,11 @@ class TestOracle:
         assert sorted(decoded) == list(product(range(cap + 1), repeat=P))
         assert all(max(w) == S._iroot(i, P) for i, w in enumerate(decoded))
 
+    def test_witness_is_certified(self, monkeypatch):
+        monkeypatch.setattr(S, "_certified", lambda *args: False)
+        with pytest.raises(RuntimeError, match="oracle witness fails its certificate"):
+            S.brute_force(3, 2, 3, "sum", 3)
+
     def test_witness_is_sound(self):
         out = S.brute_force(4, 3, 7, "product", 7)
         assert out.witness.satisfies(3, 7)
@@ -544,6 +561,20 @@ class TestEngineAgainstOracle:
 
 
 class TestEngineContracts:
+    def test_certificate_checks_every_condition(self):
+        G = Multigraph.constant(4, 2)  # a (3,6)-graph with edge sum 12
+        assert S._certified(G, 4, 3, 6, "sum", 12)
+        assert not S._certified(G, 5, 3, 6, "sum", 12)  # vertex count
+        assert not S._certified(G, 4, 3, 5, "sum", 12)  # sparsity
+        assert not S._certified(G, 4, 3, 6, "sum", 13)  # value
+        assert not S._certified(G, 4, 3, 6, "product", 12)  # value in its mode
+
+    @pytest.mark.parametrize("search", [S.max_sum_search, S.max_product_search])
+    def test_engine_witness_is_certified(self, monkeypatch, search):
+        monkeypatch.setattr(S, "_certified", lambda *args: False)
+        with pytest.raises(RuntimeError, match="engine witness fails its certificate"):
+            search(4, 3, 5)
+
     def test_witness_soundness(self):
         for n, s, q in ((5, 3, 8), (5, 4, 15), (6, 4, 15)):
             for runner, mode in (
@@ -692,6 +723,31 @@ class TestCache:
         rec["value"] = str(heavy.edge_sum())
         S.append_cache(path, rec)
         assert S.cached_outcome(path, 3, 2, 4, "sum") is None
+
+    def test_witness_on_other_vertex_count_is_a_miss(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(3, 2, 4, S.max_sum_search(3, 2, 4))
+        rec["witness"] = Multigraph.constant(4, 4).to_dict()  # a (2,4)-graph, on 4 vertices
+        rec["value"] = "24"
+        S.append_cache(path, rec)
+        assert S.cached_outcome(path, 3, 2, 4, "sum") is None
+
+    def test_oversized_witness_is_a_miss(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(4, 4, 15, S.max_product_search(4, 4, 15))
+        rec["witness"] = {"n": 10**8, "edges": []}
+        S.append_cache(path, rec)
+        assert S.cached_outcome(path, 4, 4, 15, "product") is None
+
+    def test_blank_lines_are_not_malformed(self, tmp_path, recwarn):
+        path = str(tmp_path / "cache.jsonl")
+        with open(path, "w") as fh:
+            fh.write("\n   \n")
+        S.append_cache(path, S.cache_record(3, 2, 4, S.max_sum_search(3, 2, 4)))
+        with open(path, "a") as fh:
+            fh.write(" \t \n\n")
+        assert list(S.load_cache(path)) == [(3, 2, 4, "sum")]
+        assert not [w for w in recwarn if issubclass(w.category, S.CacheWarning)]
 
     def test_latest_record_wins(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

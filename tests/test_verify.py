@@ -54,6 +54,12 @@ class TestConditionSuite:
         assert all(r.status == V.PASS for r in rows)
 
 
+    def test_cross_gain_names_the_first_counterexample(self, monkeypatch):
+        monkeypatch.setattr(V.formulas, "cross_gain_condition", lambda a, r, d: a != 5)
+        row = next(r for r in V.condition_checks() if r.name == "cross_gain_many_parts")
+        assert (row.status, row.note) == (V.FAIL, "a=5 r=2 d=1")
+
+
 class TestCountingSuite:
     def test_pinned_count(self):
         rows = V.counting_checks(4, 2, 2)

@@ -13,6 +13,7 @@ offending minimum-weight pair.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache
 
 from .constructions import max_edge_sum
@@ -39,10 +40,15 @@ def in_graded_family(G: Multigraph, params: Params) -> bool:
 
     Grades above the vertex count hold vacuously.
     """
-    for sp, bound in grade_bounds(params, params.s_base).items():
+    for sp, bound in _grade_bounds(params, params.s_base):
         if sp <= G.n and not G.satisfies(sp, bound):
             return False
     return True
+
+
+def _offending_pairs(G: Multigraph, floor: int) -> Iterator[tuple[int, int]]:
+    """The pairs at weight exactly ``floor`` (= a-d) between non-clones, lazily."""
+    return ((i, j) for i, j, w in G.pairs() if w == floor and not G.are_clones(i, j))
 
 
 def in_saturated_family(G: Multigraph, params: Params) -> bool:
@@ -52,9 +58,7 @@ def in_saturated_family(G: Multigraph, params: Params) -> bool:
     floor = params.a - params.d
     if G.min_weight() < floor:
         return False
-    return all(
-        G.are_clones(i, j) for i, j, w in G.pairs() if w == floor
-    )
+    return next(_offending_pairs(G, floor), None) is None
 
 
 def raise_min_weights(G: Multigraph, params: Params) -> Multigraph:
@@ -94,16 +98,11 @@ def clone_saturate(G: Multigraph, params: Params) -> Multigraph:
             "clone_saturate requires a graded-family member with min weight >= a-d"
         )
 
-    def offenders(H: Multigraph) -> list[tuple[int, int]]:
-        return [
-            (i, j) for i, j, w in H.pairs() if w == floor and not H.are_clones(i, j)
-        ]
-
     current = G
     copies = 0
     max_copies = G.n * (G.n - 1) // 2
     while True:
-        offending = offenders(current)
+        offending = list(_offending_pairs(current, floor))
         if not offending:
             return current
         endpoints = sorted({v for pair in offending for v in pair})

@@ -5,7 +5,8 @@ is an unconditional identity or inequality and a failure is a real
 regression) or reported-only (conjectured equalities and asymptotic
 trends: desk-scale n cannot confirm or refute a limit statement, so the
 rows carry data, never verdicts).  The kind of every check is recorded
-in CHECK_KINDS so the classification itself is auditable.
+in CHECK_KINDS so the classification itself is auditable, and every row
+takes its status from it through one constructor, _row.
 """
 
 from __future__ import annotations
@@ -89,6 +90,23 @@ def hard_failures(reports: list[CheckReport]) -> list[CheckReport]:
     ]
 
 
+def _row(
+    name: str, point: str, ok: bool | None, left: str = "", right: str = "", note: str = ""
+) -> CheckReport:
+    """A row of check ``name``: the one place a row's status is chosen.
+
+    Rows of a reported-only check, and rows of a hard check with no
+    outcome (``ok is None``: inconclusive or skipped), are reported-only;
+    otherwise ``ok`` decides pass or fail.  An unregistered name raises
+    KeyError.
+    """
+    if CHECK_KINDS[name][0] == "reported" or ok is None:
+        status = REPORTED
+    else:
+        status = PASS if ok else FAIL
+    return CheckReport(name, point, status, left, right, note)
+
+
 def _sorted(reports: list[CheckReport]) -> list[CheckReport]:
     return sorted(reports, key=lambda r: (r.name, r.point))
 
@@ -121,30 +139,29 @@ def conjecture_checks(
         dens = formulas.density(outcome.value, pairs)
         if not outcome.optimal:
             out.append(
-                CheckReport(
-                    "product_dominates_construction", point, REPORTED,
+                _row(
+                    "product_dominates_construction", point, None,
                     str(outcome.value), str(cons),
                     "inconclusive: node budget exhausted, search value is a lower bound",
                 )
             )
             continue
         out.append(
-            CheckReport(
-                "product_dominates_construction", point,
-                PASS if outcome.value >= cons else FAIL,
+            _row(
+                "product_dominates_construction", point, outcome.value >= cons,
                 str(outcome.value), str(cons), "search vs construction",
             )
         )
         out.append(
-            CheckReport(
-                "product_equals_construction", point, REPORTED,
+            _row(
+                "product_equals_construction", point, None,
                 str(outcome.value), str(cons),
                 "equal" if outcome.value == cons else "search exceeds construction",
             )
         )
         out.append(
-            CheckReport(
-                "search_density_vs_limit", point, REPORTED,
+            _row(
+                "search_density_vs_limit", point, None,
                 dens, str(limit),
                 f"value^(1/{pairs}) against the asymptotic constant",
             )
@@ -165,69 +182,49 @@ def identity_checks(a_max: int = 6, r_max: int = 5) -> list[CheckReport]:
                 params = Params(a, r, d)
                 s_base = params.s_base
                 point = f"a={a} r={r} d={d}"
+                sums = {sp: max_edge_sum(params, sp) for sp in range(2, s_base + 3)}
 
                 # consecutive-grade difference identity below the base grade
-                diffs_ok = True
-                detail = ""
-                for sp in range(2, s_base):
-                    lhs = max_edge_sum(params, sp + 1).value - max_edge_sum(params, sp).value
-                    rhs = sp * (a + 1) - (sp - 1) // (r - 1)
-                    if lhs != rhs:
-                        diffs_ok = False
-                        detail = f"s'={sp}: {lhs} != {rhs}"
-                        break
+                steps = (
+                    (sp, sums[sp + 1].value - sums[sp].value, sp * (a + 1) - (sp - 1) // (r - 1))
+                    for sp in range(2, s_base)
+                )
+                detail = next((f"s'={sp}: {lhs} != {rhs}" for sp, lhs, rhs in steps if lhs != rhs), "")
                 out.append(
-                    CheckReport(
-                        "sum_difference_step", point,
-                        PASS if diffs_ok else FAIL,
-                        "exact", "exact",
-                        detail or f"s'=2..{s_base - 1}",
+                    _row(
+                        "sum_difference_step", point, not detail,
+                        "exact", "exact", detail or f"s'=2..{s_base - 1}",
                     )
                 )
 
                 # strictly smaller sums than the reduced-deficiency family
-                mono_ok = True
-                detail = ""
-                for i in range(1, d + 1):
-                    si = (r - 1) * (d - i + 2) + 2
-                    lhs = max_edge_sum(params, si).value
-                    rhs = max_edge_sum(Params(a, r, d - i), si).value
-                    if not lhs < rhs:
-                        mono_ok = False
-                        detail = f"i={i}: {lhs} !< {rhs}"
-                        break
                 if d >= 1:
+                    gaps = (
+                        (i, sums[si].value, max_edge_sum(Params(a, r, d - i), si).value)
+                        for i in range(1, d + 1)
+                        for si in [(r - 1) * (d - i + 2) + 2]
+                    )
+                    detail = next((f"i={i}: {lhs} !< {rhs}" for i, lhs, rhs in gaps if not lhs < rhs), "")
                     out.append(
-                        CheckReport(
-                            "deficiency_strict_monotone", point,
-                            PASS if mono_ok else FAIL,
+                        _row(
+                            "deficiency_strict_monotone", point, not detail,
                             "exact", "exact", detail or f"i=1..{d}",
                         )
                     )
 
                 # light-part size thresholds across the sum-argmax set
                 big_ok = all(
-                    any(comp[0] >= 2 for comp in max_edge_sum(params, sv).all_argmax)
+                    any(comp[0] >= 2 for comp in sums[sv].all_argmax)
                     for sv in range(s_base, s_base + 3)
                 )
                 small_ok = all(
-                    any(comp[0] <= 1 for comp in max_edge_sum(params, sv).all_argmax)
+                    any(comp[0] <= 1 for comp in sums[sv].all_argmax)
                     for sv in range(2, s_base + 1)
                 )
                 out.append(
-                    CheckReport(
-                        "sum_argmax_light_part_large", point,
-                        PASS if big_ok else FAIL, "", "",
-                        f"s={s_base}..{s_base + 2}",
-                    )
+                    _row("sum_argmax_light_part_large", point, big_ok, note=f"s={s_base}..{s_base + 2}")
                 )
-                out.append(
-                    CheckReport(
-                        "sum_argmax_light_part_small", point,
-                        PASS if small_ok else FAIL, "", "",
-                        f"s=2..{s_base}",
-                    )
-                )
+                out.append(_row("sum_argmax_light_part_small", point, small_ok, note=f"s=2..{s_base}"))
 
     # recurrence of the optimal light-part fraction
     worst = 0.0
@@ -239,10 +236,10 @@ def identity_checks(a_max: int = 6, r_max: int = 5) -> list[CheckReport]:
                 if res > worst:
                     worst, worst_point = res, f"a={a} r={r} d={d}"
     out.append(
-        CheckReport(
+        _row(
             "part_fraction_recurrence",
             "a=2..20 r=2..10 d<=5",
-            PASS if worst < 1e-12 else FAIL,
+            worst < 1e-12,
             f"{worst:.3e}", "1e-12",
             f"worst residual at {worst_point}",
         )
@@ -260,25 +257,22 @@ def condition_checks() -> list[CheckReport]:
 
     worst = max(formulas.min_part_size(a, 1) for a in range(2, 201))
     out.append(
-        CheckReport(
+        _row(
             "min_part_size_deficiency_one", "a=2..200 d=1",
-            PASS if worst <= 3 else FAIL, str(worst), "3",
+            worst <= 3, str(worst), "3",
             "largest minimal part size observed",
         )
     )
 
-    bad = ""
-    for d in range(1, 7):
-        for a in range(d + 1, 51):
-            if formulas.min_part_size(a, d) > d * (1 + d + d * d):
-                bad = f"a={a} d={d}"
-                break
-        if bad:
-            break
+    bad = next((  # the first counterexample, or ""
+        f"a={a} d={d}"
+        for d in range(1, 7) for a in range(d + 1, 51)
+        if formulas.min_part_size(a, d) > d * (1 + d + d * d)
+    ), "")
     out.append(
-        CheckReport(
+        _row(
             "min_part_size_cubic_bound", "d=1..6 a<=(50)",
-            PASS if not bad else FAIL, "", "d(1+d+d^2)", bad or "all within bound",
+            not bad, "", "d(1+d+d^2)", bad or "all within bound",
         )
     )
 
@@ -288,9 +282,9 @@ def condition_checks() -> list[CheckReport]:
         for r in range(2, 101)
     )
     out.append(
-        CheckReport(
+        _row(
             "cross_gain_deficiency_one", "a=2..100 r=2..100 d=1",
-            PASS if ok else FAIL, "", "", "exact integer comparisons",
+            ok, note="exact integer comparisons",
         )
     )
 
@@ -300,9 +294,9 @@ def condition_checks() -> list[CheckReport]:
         if not formulas.cross_gain_condition(a, r, d)
     ), "")
     out.append(
-        CheckReport(
+        _row(
             "cross_gain_many_parts", "d=1..5 a<=30 r=d(d+1)..d(d+1)+10",
-            PASS if not bad else FAIL, "", "", bad or "all hold",
+            not bad, note=bad or "all hold",
         )
     )
     return _sorted(out)
@@ -321,26 +315,18 @@ def counting_checks(
     q = (a - 1) * math.comb(s, 2) + formulas.turan_number(s, r + 1) - 1
     point = f"n={n} a={a} r={r} s={s} q={q}"
     if s > n:
-        return [
-            CheckReport(
-                "counting_density", point, REPORTED, "", "",
-                "skipped: grade exceeds the vertex count",
-            )
-        ]
+        return [_row("counting_density", point, None, note="skipped: grade exceeds the vertex count")]
     try:
         count = count_graphs(n, s, q, node_budget=node_budget)
     except BudgetExceededError as exc:
-        return [CheckReport("counting_density", point, REPORTED, "", "", f"skipped: {exc}")]
+        return [_row("counting_density", point, None, note=f"skipped: {exc}")]
     pairs = n * (n - 1) // 2
     limit = formulas.product_density_limit(a, r, dps)
     return _sorted(
         [
-            CheckReport(
-                "counting_family_nonempty", point,
-                PASS if count >= 1 else FAIL, str(count), ">=1", "",
-            ),
-            CheckReport(
-                "counting_density", point, REPORTED,
+            _row("counting_family_nonempty", point, count >= 1, str(count), ">=1"),
+            _row(
+                "counting_density", point, None,
                 formulas.density(count, pairs), str(limit),
                 f"count^(1/{pairs}) against the growth constant",
             ),
@@ -405,29 +391,14 @@ def transformation_checks(trials: int = 1000, seed: int = 20240817) -> list[Chec
             if broken and not clones_bad:
                 clones_bad = f"trial {t}: clone pair {broken[0]} broken; input {G.weights()}"
         out.append(
-            CheckReport(
-                "transform_sampler", point, REPORTED,
+            _row(
+                "transform_sampler", point, None,
                 str(sampled), str(trials), "graded members found / trials",
             )
         )
-        out.append(
-            CheckReport(
-                "transform_product_monotone", point,
-                PASS if not monotone_bad else FAIL, "", "", monotone_bad,
-            )
-        )
-        out.append(
-            CheckReport(
-                "transform_lands_saturated", point,
-                PASS if not saturated_bad else FAIL, "", "", saturated_bad,
-            )
-        )
-        out.append(
-            CheckReport(
-                "transform_preserves_clones", point,
-                PASS if not clones_bad else FAIL, "", "", clones_bad,
-            )
-        )
+        out.append(_row("transform_product_monotone", point, not monotone_bad, note=monotone_bad))
+        out.append(_row("transform_lands_saturated", point, not saturated_bad, note=saturated_bad))
+        out.append(_row("transform_preserves_clones", point, not clones_bad, note=clones_bad))
     return _sorted(out)
 
 

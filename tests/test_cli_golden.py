@@ -48,6 +48,9 @@ COMMANDS = [
     "verify counting --n 4 --out o",
     "verify counting --n 4..5 --format csv --out o",
     "verify conjecture --n 4..5 --out o",
+    "verify conjecture --n 6 --budget 10 --out o",
+    "verify counting --n 6 --budget 1000 --out o",
+    "verify identities --out o",
 ]
 
 

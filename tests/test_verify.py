@@ -5,6 +5,8 @@ from __future__ import annotations
 import csv
 import random
 
+import pytest
+
 from sqgraphs import verify as V
 from sqgraphs.families import in_graded_family
 from sqgraphs.multigraph import Params
@@ -104,15 +106,28 @@ class TestRegistryAndReports:
     def test_every_check_is_classified(self):
         rows = []
         rows += V.conjecture_checks(Params(2, 2, 1), [4])
+        rows += V.conjecture_checks(Params(2, 2, 1), [6], node_budget=10)  # inconclusive
         rows += V.identity_checks(a_max=3, r_max=3)
         rows += V.condition_checks()
         rows += V.counting_checks(4, 2, 2)
+        rows += V.counting_checks(6, 2, 2, node_budget=1000)  # skipped
         rows += V.transformation_checks(trials=20)
         for r in rows:
             assert r.name in V.CHECK_KINDS
             kind, rationale = V.CHECK_KINDS[r.name]
             assert kind in ("hard", "reported")
             assert rationale
+            if kind == "reported":
+                assert r.status == V.REPORTED
+            elif r.status == V.REPORTED:
+                assert r.note.startswith(("inconclusive", "skipped"))
+        assert any(
+            V.CHECK_KINDS[r.name][0] == "hard" and r.status == V.REPORTED for r in rows
+        )
+
+    def test_row_rejects_an_unregistered_check(self):
+        with pytest.raises(KeyError):
+            V._row("no_such_check", "x", True)
 
     def test_reported_rows_never_count_as_hard_failures(self):
         rows = [V.CheckReport("counting_density", "x", V.FAIL)]

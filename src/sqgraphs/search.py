@@ -234,11 +234,11 @@ def _tree_search(
     """Branch-and-bound over the pairs after `prefix`.  Each leaf heavier
     than `floor` goes to leaf(value, W), which returns the new floor or
     raises _Stop; the bounds prune only subtrees with no leaf above it.
-    With a prefix (the weights of an (n-1)-vertex graph H) the search runs
-    over the graphs whose vertices 0..n-2 induce H, with no lex-leader test:
-    every block but the last lies in H, and _climb skips the last.  stats
-    counts nodes and prunes in place, a leaf's own searches included, and
-    _Stop is raised once stats["nodes"] passes budget.
+    With a prefix (the weights of an (n-1)-vertex graph H, in any labeling)
+    the search runs over the graphs whose vertices 0..n-2 induce H, with no
+    lex-leader test (see _collect).  stats counts nodes and prunes in place,
+    a leaf's own searches included, and _Stop is raised once stats["nodes"]
+    passes budget.
     """
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
@@ -343,18 +343,14 @@ def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: 
     """Raise inc to the product optimum on n >= s+2 vertices by adding one
     vertex to (n-1)-vertex graphs; record is the incumbent leaf.
 
-    Lemma: each pair of an n-vertex graph G lies in n-2 of the n induced
-    subgraphs G-v, so the product over v of P(G-v) is P(G)**(n-2) and some v
-    has P(G-v)**n >= P(G)**(n-2).  So a G with P(G) > inc adds a vertex to an
-    (n-1)-vertex (s,q)-graph H = G-v with P(H) >= T', the least T' with
-    T'**n >= (inc+1)**(n-2).  Label G so that v is vertex n-1 and H is in its
-    lex-max labeling.  A collect at T <= T', a search on n-1 vertices with
-    floor T-1, reaches H: H passes every block test (see _lex_leader), and the
-    bounds prune no leaf above the floor.  Its leaf extends each H as it is
-    found, reaching G unless a bound shows G no heavier than inc, and returns
-    T' - 1, as inc only grows.  The extension skips the lex-leader test of the
-    last block {0..n-1}: putting v last need not give G's lex-max labeling, so
-    the test could reject every labeling of G that extends H.
+    Lemma: each pair of an m-vertex graph G lies in m-2 of the m induced
+    subgraphs G-v, so the product over v of P(G-v) is P(G)**(m-2) and some v
+    has P(G-v)**m >= P(G)**(m-2).  So a G with P(G) >= T adds a vertex v to
+    an (m-1)-vertex (s,q)-graph H = G-v with P(H) >= T2, the least T2 with
+    T2**m >= T**(m-2).  At m = n and T = inc+1 this is T' = least_T(), and
+    the extension of each H that _collect hands over, with v as vertex n-1,
+    reaches G unless a bound shows G no heavier than inc; it returns T' - 1,
+    as inc only grows.
 
     Phase 1 extends the optima that the search of ex(n-1) kept as ties,
     raising the seed's value to L: all of them if keep (record keeps ties),
@@ -363,8 +359,9 @@ def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: 
     graphs phase 1 extended, not all of value ex(n-1): that search may stop
     at its root bound before it meets every optimum, and a climb's ties keep
     their extension's labeling.  stats["climb"] holds the seed value, L, the
-    last T, how many graphs the last phase handed over, and the nodes of the
-    phase-2 collect and the extensions.
+    last T, kept (the labeled (n-1)-vertex graphs the last phase handed to
+    the extension; a class may come in several labelings), extend_nodes (the
+    n-vertex extensions' nodes) and collect_nodes (_collect's).
     """
     below = _run_search(n - 1, s, q, "product", budget - stats["nodes"], optima := [])
     for key in ("nodes", "bound_prunes", "symmetry_prunes"):
@@ -396,9 +393,35 @@ def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: 
         climb["L"], T = inc[0], least_T()
         if T <= below.value:  # phase 2
             climb.update(T=T, kept=0)
-            _tree_search(n - 1, s, q, True, budget, stats, T - 1, extend)
+            _collect(n - 1, s, q, budget, stats, least_T, extend)
     finally:
         climb["collect_nodes"] = stats["nodes"] - start - climb["extend_nodes"]
+
+
+def _collect(m: int, s: int, q: int, budget: int, stats: dict, least: Callable[[], int], leaf: Callable) -> None:
+    """Hand leaf(value, W) a labeling of each m-vertex (s,q)-graph H with
+    P(H) >= least(); least() only grows, and leaf returns the new floor.
+
+    At m = s a search at floor least()-1 reaches H's lex-max labeling (see
+    _lex_leader; the bounds prune no leaf above the floor).  Above s, by
+    _climb's lemma, H is a collected H-v with P(H-v) >= T2 of T = least()
+    plus a vertex v, put last; grow extends each H-v at floor least()-1 and
+    returns T2 - 1, so every floor rises with least().  Extensions skip the
+    lex-leader tests, which could reject every labeling of H that extends
+    H-v, so H may come in several labelings.
+    """
+    if m == s:
+        _tree_search(m, s, q, True, budget, stats, least() - 1, leaf)
+        return
+
+    def least_below() -> int:  # T2 of T = least()
+        return _iroot(least() ** (m - 2) - 1, m) + 1
+
+    def grow(value: int, H: Sequence[int]) -> int:
+        _tree_search(m, s, q, True, budget, stats, least() - 1, leaf, H)
+        return least_below() - 1
+
+    _collect(m - 1, s, q, budget, stats, least_below, grow)
 
 
 def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list | None = None) -> SearchOutcome:

@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import random
+from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 
@@ -77,21 +78,24 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 3_778
+        assert out.stats["nodes"] <= 1_580
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
             # a climb (n >= s+2) counts its search of ex(n-1), which keeps
             # ties, and both phases
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 709, 345, 168, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 3778, 1458, 1141, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 1221, 688, 302, 95551488)),
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 501, 250, 96, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 1580, 892, 173, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 820, 484, 156, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 19612, 10495, 6280, 918330048)),
             ("sum", 7, 5, 13, 20_000, (23, False, 20001, 9913, 3261, 26)),
             # the search stops at the leaf where the incumbent meets upper
             ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 146, 88, 13, 7776)),
             ("sum", 4, 3, 13, S.DEFAULT_NODE_BUDGET, (26, True, 6, 0, 0, 26)),
+            # the benchmark ladder's two largest climbed rungs
+            ("product", 8, 4, 15, S.DEFAULT_NODE_BUDGET, (17414258688, True, 4936, 2975, 320, 17414258688)),
+            ("product", 7, 4, 21, S.DEFAULT_NODE_BUDGET, (123834728448, True, 1751, 1005, 351, 123834728448)),
         ],
     )
     def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):
@@ -297,7 +301,7 @@ class TestClimb:
                     assert out.witness.edge_product() == out.value
                     rows, nodes = rows + 1, nodes + out.stats["nodes"]
         # pinned, so that a row needing more nodes shows here
-        assert (rows, nodes) == (136, 7_349)
+        assert (rows, nodes) == (136, 5_685)
 
     @staticmethod
     def assert_nonisomorphic_optima(weights, value):
@@ -327,6 +331,44 @@ class TestClimb:
         S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, T - 1, leaf)
         assert len(keep) == 6
         self.assert_nonisomorphic_optima(keep, T)
+
+    @staticmethod
+    def canonical(W, m):
+        """The least weight vector over all m! relabelings of W."""
+        R = S._rank_table(m)
+        colex = [(u, v) for v in range(1, m) for u in range(v)]
+        return min(tuple(W[R[p[u]][p[v]]] for u, v in colex) for p in permutations(range(m)))
+
+    @classmethod
+    def classes(cls, m, s, q, T, collect):
+        """The classes that collect(stats, leaf) hands over, each leaf
+        checked to be an (s,q)-graph of its value, at least T."""
+        got, stats = set(), {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+
+        def leaf(value, W):
+            assert value >= T and S._certified(Multigraph(m, W[:]), m, s, q, "product", value)
+            got.add(cls.canonical(W, m))
+            return T - 1
+
+        collect(stats, leaf)
+        return got
+
+    def test_recursive_collect_meets_the_direct_collect(self):
+        # on every product (m, s, q) with s+1 <= m <= 6 and small q, at three
+        # thresholds T, _collect hands over exactly the isomorphism classes
+        # of the direct lex-leader collect at floor T-1, and only (s,q)-graphs
+        # of the value it is given
+        for m in range(3, 7):
+            for s in range(2, m):
+                spairs = s * (s - 1) // 2
+                for q in range(spairs, spairs + 3):
+                    ex = S.max_product_search(m, s, q).value
+                    for T in {ex, (ex + 1) // 2, (ex + 3) // 4}:
+                        direct = self.classes(m, s, q, T, lambda st, leaf: S._tree_search(
+                            m, s, q, True, S.DEFAULT_NODE_BUDGET, st, T - 1, leaf))
+                        climbed = self.classes(m, s, q, T, lambda st, leaf: S._collect(
+                            m, s, q, S.DEFAULT_NODE_BUDGET, st, lambda: T, leaf))
+                        assert climbed == direct, (m, s, q, T)
 
     def test_ties_hand_over_every_optimum(self):
         # the search of ex(7,6,41) that feeds the climb at n = 8 keeps ties:
@@ -361,9 +403,9 @@ class TestClimb:
         # ex(7): phase 2 still runs, collecting at T' and handing over two
         # graphs; a climb that skipped phase 2 here would stop at 300 nodes
         out = S.max_product_search(8, 6, 17)
-        assert (out.value, out.optimal, out.stats["nodes"]) == (4, True, 573)
+        assert (out.value, out.optimal, out.stats["nodes"]) == (4, True, 515)
         assert out.stats["climb"] == {
-            "seed": 1, "L": 4, "T": 4, "kept": 2, "collect_nodes": 273, "extend_nodes": 7,
+            "seed": 1, "L": 4, "T": 4, "kept": 2, "collect_nodes": 215, "extend_nodes": 7,
         }
 
     def test_stats_sum_over_phases(self):
@@ -371,8 +413,8 @@ class TestClimb:
         below = S._run_search(6, 4, 15, "product", S.DEFAULT_NODE_BUDGET, [])  # keeps ties, as the climb's
         climb = out.stats["climb"]
         assert climb == {
-            "seed": 60466176, "L": 60466176, "T": 361596, "kept": 4,
-            "collect_nodes": 2990, "extend_nodes": 72,
+            "seed": 60466176, "L": 60466176, "T": 361596, "kept": 24,
+            "collect_nodes": 677, "extend_nodes": 395,
         }
         assert out.stats["nodes"] == below.stats["nodes"] + climb["collect_nodes"] + climb["extend_nodes"]
         for key in ("bound_prunes", "symmetry_prunes"):
@@ -384,17 +426,22 @@ class TestClimb:
         [
             (50, None),
             (160, {"L": None, "T": 7776, "kept": 1, "collect_nodes": 0, "extend_nodes": 4}),
-            (270, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 91, "extend_nodes": 23}),
-            (500, {"L": 419_904, "T": 5608, "kept": 3, "collect_nodes": 303, "extend_nodes": 41}),
+            (200, {"L": 419_904, "T": 5608, "kept": 0, "collect_nodes": 27, "extend_nodes": 17}),
+            (245, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 66, "extend_nodes": 23}),
+            (270, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 85, "extend_nodes": 29}),
+            (500, {"L": 419_904, "T": 5608, "kept": 4, "collect_nodes": 296, "extend_nodes": 48}),
         ],
-        ids=["50", "160", "270", "500"],
+        ids=["50", "160", "200", "245", "270", "500"],
     )
     def test_budget_bound_in_every_phase(self, budget, climb):
-        # (6,4,15) climbs in 709 nodes: 1-157 find ex(5,4,15), 158-174 extend
-        # its one optimum in phase 1, and phase 2 collects in the rest, save
-        # 266-277 and 387-398 where it extends; so 50, 160, 270 and 500 stop
-        # the search at n-1, a phase-1 extension, a phase-2 extension and the
-        # phase-2 collect
+        # (6,4,15) climbs in 501 nodes: 1-157 find ex(5,4,15), 158-174 extend
+        # its one optimum in phase 1, and phase 2 runs the base collect on 4
+        # vertices in the rest, save 197-203, 229-258, 287-306, 317-351 and
+        # 358-375 where it extends to 5 vertices, and 241-252, 294-300 and
+        # 334-345 within those, where it extends to 6; so 50, 160, 200, 245
+        # and 270 stop the search at n-1, a phase-1 extension, a nested
+        # extension, a top-level extension and the base collect, and 500
+        # at its last node
         out = S.max_product_search(6, 4, 15, node_budget=budget)
         assert not out.optimal
         assert out.stats["nodes"] == budget + 1
@@ -403,15 +450,24 @@ class TestClimb:
         assert out.witness.find_violation(4, 15) is None
         assert out.witness.edge_product() == out.value <= 419_904
 
-    @pytest.mark.slow
     @pytest.mark.parametrize(
-        "n,s,q,value,nodes",
-        [(9, 6, 41, 1_735_247_072_139_264, 734_147), (9, 4, 15, 12_694_994_583_552, 227_655)],
+        "n,s,q,value,nodes,over",
+        [
+            pytest.param(9, 6, 41, 1_735_247_072_139_264, 90_842, Fraction(4, 3), marks=pytest.mark.slow),
+            (9, 4, 15, 12_694_994_583_552, 9_310, 1),
+            (10, 4, 15, 21_936_950_640_377_856, 19_567, 1),
+            (11, 4, 15, 75_814_101_413_145_870_336, 35_364, 1),
+            pytest.param(10, 6, 41, 7_589_970_693_537_140_736, 330_429, 1, marks=pytest.mark.slow),
+        ],
     )
-    def test_nine_vertices(self, n, s, q, value, nodes):
-        # the direct search needs 1,551,932 nodes for (9,4,15)
+    def test_frontier(self, n, s, q, value, nodes, over):
+        # exact within the default budget (the direct search needs 1,551,932
+        # nodes for (9,4,15)); `over` is the optimum over the construction's
+        # value: (2,3,1) beats the construction at n = 9 and meets it at 10
         out = S.max_product_search(n, s, q)
         assert (out.value, out.optimal, out.stats["nodes"]) == (value, True, nodes)
+        params = {(4, 15): Params(2, 2, 1), (6, 41): Params(2, 3, 1)}[s, q]
+        assert value == over * C.max_edge_product(params, n).value
 
 
 class TestCounting:
@@ -621,7 +677,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) climbs in 709 nodes, 157 of them for ex(5,4,15), so 50 stops it
+        # (6,4,15) climbs in 501 nodes, 157 of them for ex(5,4,15), so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

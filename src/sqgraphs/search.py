@@ -229,20 +229,26 @@ def _certified(G: Multigraph, n: int, s: int, q: int, mode: str, value: int) -> 
 
 def _tree_search(
     n: int, s: int, q: int, product: bool, budget: int, stats: dict, floor: int,
-    leaf: Callable, prefix: Sequence[int] = (),
+    leaf: Callable, prefix: Sequence[int] = (), cap: int | None = None,
 ) -> None:
     """Branch-and-bound over the pairs after `prefix`.  Each leaf heavier
     than `floor` goes to leaf(value, W), which returns the new floor or
     raises _Stop; the bounds prune only subtrees with no leaf above it.
     With a prefix (the weights of an (n-1)-vertex graph H, in any labeling)
     the search runs over the graphs whose vertices 0..n-2 induce H, with no
-    lex-leader test (see _collect).  stats counts nodes and prunes in place,
-    a leaf's own searches included, and _Stop is raised once stats["nodes"]
-    passes budget.
+    lex-leader test (see _collect).  A cap bounds every weight, through the
+    initial ub; a relabeling keeps it, so the lex-leader test stays sound.
+    stats counts nodes and prunes in place, a leaf's own searches included,
+    and _Stop is raised once stats["nodes"] passes budget.
+    stats["levels"][n] counts this search's own nodes, or
+    stats["levels"]["two_weight"] under a cap (see _two_weight_seed).
     """
     P = n * (n - 1) // 2
     spairs = s * (s - 1) // 2
     wlo = 1 if product else 0
+    levels = stats.setdefault("levels", {})
+    level = n if cap is None else "two_weight"
+    levels.setdefault(level, 0)
 
     open_sets, later = _depth_tables(n, s)
     per_pair = comb(n - 2, s - 2)
@@ -276,18 +282,19 @@ def _tree_search(
     K = len(prefix)
     W = list(prefix) + [0] * (P - K)
     S = comb(n, s)
-    state = [q - (spairs - 1) * wlo] * P, [q] * S, [_amgm(q, spairs)] * S
+    top = q - (spairs - 1) * wlo
+    state = [top if cap is None else min(cap, top)] * P, [q] * S, [_amgm(q, spairs)] * S
     for k in range(K):  # the prefix's pairs, set as dfs sets them
         state = step(k, W[k], *state)[:3]
 
-    def prune_by_bound(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
+    def prune_by_bound(k: int, acc: int, katona: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
         ubs = ub[k:]
         if product:
             # Katona cap: am[X] = _amgm(rem[X], m) bounds the product of X's
             # open pairs, each in per_pair = C(n-2, s-2) s-sets, so beating
             # floor needs an open product R > floor // acc with
-            # R**per_pair <= cap = prod_X am[X]
-            if (floor // acc + 1) ** per_pair > cap:
+            # R**per_pair <= katona = prod_X am[X]
+            if (floor // acc + 1) ** per_pair > katona:
                 return True
             # total: each open pair e takes at most ub[e]
             base = acc * prod(ubs)
@@ -310,13 +317,13 @@ def _tree_search(
                 return True
         return False
 
-    def dfs(k: int, acc: int, cap: int, ub: list[int], rem: list[int], am: list[int]) -> None:
+    def dfs(k: int, acc: int, katona: int, ub: list[int], rem: list[int], am: list[int]) -> None:
         nonlocal floor
         if k == P:
             if acc > floor:
                 floor = leaf(acc, W)
             return
-        if prune_by_bound(k, acc, cap, ub, rem, am):
+        if prune_by_bound(k, acc, katona, ub, rem, am):
             stats["bound_prunes"] += 1
             return
         if product:
@@ -324,6 +331,7 @@ def _tree_search(
         j = block.get(k)
         for w in range(ub[k], wlo - 1, -1):
             stats["nodes"] += 1
+            levels[level] += 1
             if stats["nodes"] > budget:
                 raise _Stop
             W[k] = w
@@ -332,99 +340,90 @@ def _tree_search(
                 continue
             child, crem, cam, new = step(k, w, ub, rem, am)
             if product:
-                dfs(k + 1, acc * w, cap // old * new, child, crem, cam)
+                dfs(k + 1, acc * w, katona // old * new, child, crem, cam)
             else:
-                dfs(k + 1, acc + w, cap, child, crem, cam)
+                dfs(k + 1, acc + w, katona, child, crem, cam)
 
     dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
 
 
-def _climb(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable, keep: int) -> None:
-    """Raise inc to the product optimum on n >= s+2 vertices by adding one
-    vertex to (n-1)-vertex graphs; record is the incumbent leaf.
+def _collect(
+    m: int, s: int, q: int, budget: int, stats: dict, least: Callable[[], int], leaf: Callable,
+    product: bool, cap: int | None = None,
+) -> None:
+    """Hand leaf(value, W) a labeling of each m-vertex (s,q)-graph H whose
+    edge product (or sum) is at least least(); least() only grows, and leaf
+    returns the new floor.
 
-    Lemma: each pair of an m-vertex graph G lies in m-2 of the m induced
-    subgraphs G-v, so the product over v of P(G-v) is P(G)**(m-2) and some v
-    has P(G-v)**m >= P(G)**(m-2).  So a G with P(G) >= T adds a vertex v to
-    an (m-1)-vertex (s,q)-graph H = G-v with P(H) >= T2, the least T2 with
-    T2**m >= T**(m-2).  At m = n and T = inc+1 this is T' = least_T(), and
-    the extension of each H that _collect hands over, with v as vertex n-1,
-    reaches G unless a bound shows G no heavier than inc; it returns T' - 1,
-    as inc only grows.
-
-    Phase 1 extends the optima that the search of ex(n-1) kept as ties,
-    raising the seed's value to L: all of them if keep (record keeps ties),
-    so that this climb's ties extend every one, else until T' > ex(n-1).
-    Phase 2 collects at the T' of L if T' <= ex(n-1) and skips the labeled
-    graphs phase 1 extended, not all of value ex(n-1): that search may stop
-    at its root bound before it meets every optimum, and a climb's ties keep
-    their extension's labeling.  stats["climb"] holds the seed value, L, the
-    last T, kept (the labeled (n-1)-vertex graphs the last phase handed to
-    the extension; a class may come in several labelings), extend_nodes (the
-    n-vertex extensions' nodes) and collect_nodes (_collect's).
-    """
-    below = _run_search(n - 1, s, q, "product", budget - stats["nodes"], optima := [])
-    for key in ("nodes", "bound_prunes", "symmetry_prunes"):
-        stats[key] += below.stats[key]
-    if not below.optimal:
-        raise _Stop
-    T, start, done = below.value, stats["nodes"], set()
-    climb = stats["climb"] = dict(seed=inc[0], L=None, T=T, kept=0, collect_nodes=0, extend_nodes=0)
-
-    def least_T() -> int:  # T' above
-        return _iroot((inc[0] + 1) ** (n - 2) - 1, n) + 1
-
-    def extend(value: int, H: Sequence[int]) -> int:
-        climb["kept"] += 1
-        if tuple(H) not in done:
-            done.add(tuple(H))
-            nodes = stats["nodes"]
-            try:
-                _tree_search(n, s, q, True, budget, stats, inc[0] - keep, record, H)
-            finally:
-                climb["extend_nodes"] += stats["nodes"] - nodes
-        return least_T() - 1
-
-    try:
-        for H in optima:  # phase 1
-            if least_T() > T and not keep:
-                break
-            extend(T, H)
-        climb["L"], T = inc[0], least_T()
-        if T <= below.value:  # phase 2
-            climb.update(T=T, kept=0)
-            _collect(n - 1, s, q, budget, stats, least_T, extend)
-    finally:
-        climb["collect_nodes"] = stats["nodes"] - start - climb["extend_nodes"]
-
-
-def _collect(m: int, s: int, q: int, budget: int, stats: dict, least: Callable[[], int], leaf: Callable) -> None:
-    """Hand leaf(value, W) a labeling of each m-vertex (s,q)-graph H with
-    P(H) >= least(); least() only grows, and leaf returns the new floor.
-
+    Lemma: each pair of H lies in m-2 of its m induced subgraphs H-v, so
+    the product over v of P(H-v) is P(H)**(m-2), and the sum over v of
+    e(H-v) is (m-2)*e(H).  So some v has P(H-v) >= T2, the least T2 with
+    T2**m >= T**(m-2), or e(H-v) >= T2 = ceil((m-2)*T/m), where T = least().
     At m = s a search at floor least()-1 reaches H's lex-max labeling (see
-    _lex_leader; the bounds prune no leaf above the floor).  Above s, by
-    _climb's lemma, H is a collected H-v with P(H-v) >= T2 of T = least()
-    plus a vertex v, put last; grow extends each H-v at floor least()-1 and
-    returns T2 - 1, so every floor rises with least().  Extensions skip the
-    lex-leader tests, which could reject every labeling of H that extends
-    H-v, so H may come in several labelings.
+    _lex_leader; the bounds prune no leaf above the floor).  Above s, H is
+    a collected H-v plus a vertex v, put last; grow extends each H-v at
+    floor least()-1 and returns T2 - 1, so every floor rises with least().
+    Extensions skip the lex-leader tests, which could reject every labeling
+    of H that extends H-v, so H may come in several labelings.  A cap keeps
+    the lemma: the capped graphs are closed under induced subgraphs.
     """
     if m == s:
-        _tree_search(m, s, q, True, budget, stats, least() - 1, leaf)
+        _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
         return
 
     def least_below() -> int:  # T2 of T = least()
-        return _iroot(least() ** (m - 2) - 1, m) + 1
+        T = least()
+        return _iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m)
 
     def grow(value: int, H: Sequence[int]) -> int:
-        _tree_search(m, s, q, True, budget, stats, least() - 1, leaf, H)
+        _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, H, cap)
         return least_below() - 1
 
-    _collect(m - 1, s, q, budget, stats, least_below, grow)
+    _collect(m - 1, s, q, budget, stats, least_below, grow, product, cap)
 
 
-def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list | None = None) -> SearchOutcome:
+def _search(
+    n: int, s: int, q: int, product: bool, budget: int, stats: dict, least: Callable[[], int],
+    leaf: Callable, cap: int | None = None,
+) -> None:
+    """Hand leaf every n-vertex graph above least() - 1, as _collect does:
+    products on n >= s+1 vertices and sums on n >= s+2 by _collect, the
+    rest by one direct search (at n = s+1 a sum collect took more nodes
+    on the grid and lost values at budget 3,000)."""
+    if n >= s + 1 + (not product):
+        _collect(n, s, q, budget, stats, least, leaf, product, cap)
+    else:
+        _tree_search(n, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
+
+
+def _two_weight_seed(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable) -> None:
+    """Hand record the best product graph a*K_n + H above inc[0], where
+    a = q // C(s,2) and H is a simple graph.
+
+    a*K_n + H is an (s,q)-graph exactly when every s-set spans at most
+    t = q - a*C(s,2) edges of H, and its product a**(P-h) * (a+1)**h grows
+    with h = |H|; so this is a sum search for H with every weight capped at
+    1, at the floor of the largest h whose product is <= inc[0].  These H
+    are closed under induced subgraphs, so _collect's lemma holds for them.
+    A lower a' < a gives t' >= C(s,2), so H = K_n, that is (a'+1)*K_n, no
+    heavier than the constant seed a*K_n: only a can beat the seeds.
+    """
+    a, t = divmod(q, s * (s - 1) // 2)
+    P = n * (n - 1) // 2
+    h = 0  # the floor
+    while h < P and a ** (P - h - 1) * (a + 1) ** (h + 1) <= inc[0]:
+        h += 1
+
+    def take(value: int, H: Sequence[int]) -> int:
+        nonlocal h
+        record(a ** (P - value) * (a + 1) ** value, [a + w for w in H])
+        h = value
+        return h
+
+    _search(n, s, t, False, budget, stats, lambda: h + 1, take, cap=1)
+
+
+def _run_search(n: int, s: int, q: int, mode: str, node_budget: int) -> SearchOutcome:
     t0 = time.perf_counter()
     _validate(n, s, q)
     product = mode == "product"
@@ -437,25 +436,19 @@ def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, ties: list 
             inc[:] = value, g
         if value >= upper:
             break
-    stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
-    # given a list, leaves equal to inc also reach record, which keeps the optima in it
-    ties, keep = ([], 0) if ties is None else (ties, 1)
+    stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0, "levels": {}}
 
-    def record(value: int, W: list[int]) -> int:
-        if value > inc[0]:
-            inc[:] = value, Multigraph(n, W)
-            ties.clear()
-        ties.append(tuple(W))
+    def record(value: int, W: list[int]) -> int:  # value > inc[0]
+        inc[:] = value, Multigraph(n, W)
         if value >= upper:  # no completion beats the root bound
             raise _Stop
-        return value - keep
+        return value
 
     try:
         if inc[0] < upper:  # else a seed already meets the root bound
-            if product and n >= s + 2:
-                _climb(n, s, q, node_budget, stats, inc, record, keep)
-            else:
-                _tree_search(n, s, q, product, node_budget, stats, inc[0] - keep, record)
+            if product:
+                _two_weight_seed(n, s, q, node_budget, stats, inc, record)
+            _search(n, s, q, product, node_budget, stats, lambda: inc[0] + 1, record)
     except _Stop:
         pass
     inc_val, inc_wit = inc

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 
@@ -78,24 +79,25 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 1_580
+        assert out.stats["nodes"] <= 1_131
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
-            # a climb (n >= s+2) counts its search of ex(n-1), which keeps
-            # ties, and both phases
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 501, 250, 96, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 1580, 892, 173, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 820, 484, 156, 95551488)),
-            ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 19612, 10495, 6280, 918330048)),
-            ("sum", 7, 5, 13, 20_000, (23, False, 20001, 9913, 3261, 26)),
-            # the search stops at the leaf where the incumbent meets upper
-            ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 146, 88, 13, 7776)),
+            # a collect (products on n >= s+1, sums on n >= s+2) counts every
+            # level, and a product search the two-weight seed's nodes too
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 403, 176, 89, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 1131, 654, 89, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 614, 329, 130, 95551488)),
+            ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 3409, 1954, 1010, 918330048)),
+            ("sum", 7, 5, 13, 20_000, (24, False, 20001, 6530, 2943, 26)),
+            # the search stops at the leaf where the incumbent meets upper,
+            # here the two-weight seed's
+            ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 20, 6, 0, 7776)),
             ("sum", 4, 3, 13, S.DEFAULT_NODE_BUDGET, (26, True, 6, 0, 0, 26)),
             # the benchmark ladder's two largest climbed rungs
-            ("product", 8, 4, 15, S.DEFAULT_NODE_BUDGET, (17414258688, True, 4936, 2975, 320, 17414258688)),
-            ("product", 7, 4, 21, S.DEFAULT_NODE_BUDGET, (123834728448, True, 1751, 1005, 351, 123834728448)),
+            ("product", 8, 4, 15, S.DEFAULT_NODE_BUDGET, (17414258688, True, 3391, 2087, 159, 17414258688)),
+            ("product", 7, 4, 21, S.DEFAULT_NODE_BUDGET, (123834728448, True, 980, 531, 207, 123834728448)),
         ],
     )
     def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):
@@ -267,11 +269,12 @@ class TestLexLeader:
             self.check([rng.choice((1, 2)) for _ in range(15)], 5)
 
 class TestClimb:
-    """Product searches on n >= s+2 vertices climb from n-1 (search._climb)."""
+    """Product searches on n >= s+1 vertices and sum searches on n >= s+2
+    climb from s vertices (search._collect), after the two-weight seed."""
 
     @staticmethod
     def direct(n, s, q):
-        """The direct search at n from the best seed, as run for n <= s+1."""
+        """The direct search at n from the best seed, with no two-weight seed."""
         upper = S._averaging_chain(n, s, q, True)
         seed = max(S._seed_witnesses(n, s, q, "product"), key=Multigraph.edge_product)
         best = [seed.edge_product()]
@@ -292,7 +295,7 @@ class TestClimb:
         # every product instance of tests/golden/grid.json that climbs
         rows = nodes = 0
         for n in range(4, 8):
-            for s in range(2, n - 1):
+            for s in range(2, n):
                 for q in range(16 if n < 7 else 10):
                     out = S.max_product_search(n, s, q)
                     assert out.optimal
@@ -301,7 +304,7 @@ class TestClimb:
                     assert out.witness.edge_product() == out.value
                     rows, nodes = rows + 1, nodes + out.stats["nodes"]
         # pinned, so that a row needing more nodes shows here
-        assert (rows, nodes) == (136, 5_685)
+        assert (rows, nodes) == (194, 4_835)
 
     @staticmethod
     def assert_nonisomorphic_optima(weights, value):
@@ -340,112 +343,127 @@ class TestClimb:
         return min(tuple(W[R[p[u]][p[v]]] for u, v in colex) for p in permutations(range(m)))
 
     @classmethod
-    def classes(cls, m, s, q, T, collect):
+    def classes(cls, m, s, q, T, collect, product=True, cap=None):
         """The classes that collect(stats, leaf) hands over, each leaf
-        checked to be an (s,q)-graph of its value, at least T."""
+        checked to be an (s,q)-graph of its value, at least T, within cap."""
         got, stats = set(), {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+        mode = "product" if product else "sum"
 
         def leaf(value, W):
-            assert value >= T and S._certified(Multigraph(m, W[:]), m, s, q, "product", value)
+            assert value >= T and S._certified(Multigraph(m, W[:]), m, s, q, mode, value)
+            assert cap is None or max(W) <= cap
             got.add(cls.canonical(W, m))
             return T - 1
 
         collect(stats, leaf)
         return got
 
+    @staticmethod
+    def optimum(m, s, q, product, cap):
+        """The direct search's last leaf from floor -1, which is the optimum."""
+        best = [None]
+
+        def leaf(value, W):
+            best[0] = value
+            return value
+
+        stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+        S._tree_search(m, s, q, product, S.DEFAULT_NODE_BUDGET, stats, -1, leaf, cap=cap)
+        return best[0]
+
     def test_recursive_collect_meets_the_direct_collect(self):
-        # on every product (m, s, q) with s+1 <= m <= 6 and small q, at three
-        # thresholds T, _collect hands over exactly the isomorphism classes
-        # of the direct lex-leader collect at floor T-1, and only (s,q)-graphs
-        # of the value it is given
-        for m in range(3, 7):
-            for s in range(2, m):
-                spairs = s * (s - 1) // 2
-                for q in range(spairs, spairs + 3):
-                    ex = S.max_product_search(m, s, q).value
-                    for T in {ex, (ex + 1) // 2, (ex + 3) // 4}:
-                        direct = self.classes(m, s, q, T, lambda st, leaf: S._tree_search(
-                            m, s, q, True, S.DEFAULT_NODE_BUDGET, st, T - 1, leaf))
-                        climbed = self.classes(m, s, q, T, lambda st, leaf: S._collect(
-                            m, s, q, S.DEFAULT_NODE_BUDGET, st, lambda: T, leaf))
-                        assert climbed == direct, (m, s, q, T)
+        # at each threshold T, _collect hands over exactly the isomorphism
+        # classes of the direct lex-leader collect at floor T-1, and only
+        # (s,q)-graphs of the value it is given: on products with s+1 <= m <= 6
+        # and C(s,2) <= q <= C(s,2)+2 at T = ex, ex/2 and ex/4, and on sums with
+        # s+2 <= m <= 6, uncapped at 1 <= q <= 3 and under cap 1 (the two-weight
+        # seed's search) at 1 <= q < C(s,2), each at T = ex and ex-1
+        budget = S.DEFAULT_NODE_BUDGET
+        kinds = [
+            (True, None, lambda s: range(s * (s - 1) // 2, s * (s - 1) // 2 + 3), lambda ex: {ex, (ex + 1) // 2, (ex + 3) // 4}),
+            (False, None, lambda s: range(1, 4), lambda ex: {ex, ex - 1}),
+            (False, 1, lambda s: range(1, s * (s - 1) // 2), lambda ex: {ex, ex - 1}),
+        ]
+        for product, cap, qs, thresholds in kinds:
+            for m in range(3, 7):
+                for s in range(2, m - (not product)):
+                    for q in qs(s):
+                        for T in thresholds(self.optimum(m, s, q, product, cap)):
+                            direct = self.classes(m, s, q, T, lambda st, leaf: S._tree_search(
+                                m, s, q, product, budget, st, T - 1, leaf, cap=cap), product, cap)
+                            climbed = self.classes(m, s, q, T, lambda st, leaf: S._collect(
+                                m, s, q, budget, st, lambda: T, leaf, product, cap), product, cap)
+                            assert climbed == direct, (product, cap, m, s, q, T)
 
     def test_ties_hand_over_every_optimum(self):
-        # the search of ex(7,6,41) that feeds the climb at n = 8 keeps ties:
-        # its seed is optimal, so its list holds the lex-max form of each of
-        # the six 7-vertex optima, and the climb extends them from there
-        ties = []
-        out = S._run_search(7, 6, 41, "product", S.DEFAULT_NODE_BUDGET, ties)
-        assert (out.value, out.optimal, out.stats["nodes"]) == (918_330_048, True, 20_442)
-        assert len(ties) == 6
-        for W in ties:
-            assert all(S._lex_leader(list(W), j, S._rank_table(7)) for j in range(2, 7))
-        self.assert_nonisomorphic_optima(ties, out.value)
-        # without ties no leaf beats the seed, and the search needs fewer nodes
-        assert S.max_product_search(7, 6, 41).stats["nodes"] == 19_612
+        # at least() = ex(7,6,41) the collect from 7 vertices hands over every
+        # optimum, some in several labelings: the six classes that the direct
+        # collect keeps (see test_collect_keeps_one_graph_per_optimum)
+        T = 918_330_048
+        optima = self.classes(7, 6, 41, T, lambda st, leaf: S._collect(
+            7, 6, 41, S.DEFAULT_NODE_BUDGET, st, lambda: T, leaf, True))
+        assert len(optima) == 6
+        self.assert_nonisomorphic_optima(optima, T)
 
     def test_beats_the_construction_at_eight_vertices(self):
-        # (2,3,1) is (s,q) = (6,41); the optimum is 4/3 of the construction's
+        # (2,3,1) is (s,q) = (6,41); the optimum is 4/3 of the construction's.
+        # The two-weight seed finds it in 143 nodes, so the collect only
+        # proves it optimal, and no 7-vertex graph reaches the top level
         out = S.max_product_search(8, 6, 41)
         assert (out.value, out.optimal) == (892_616_806_656, True)
         assert 3 * out.value == 4 * C.max_edge_product(Params(2, 3, 1), 8).value
-        # the search of ex(7) = T keeps its six optima as ties (20,442 nodes);
-        # the first extends to the optimum, which lifts T' above T: phase 1
-        # ends there, and phase 2 does not run
-        assert out.stats["nodes"] == 20_572
-        assert out.stats["climb"] == {
-            "seed": 669_462_604_992, "L": 892_616_806_656, "T": 918_330_048, "kept": 1,
-            "collect_nodes": 0, "extend_nodes": 130,
-        }
+        assert out.stats["levels"] == {"two_weight": 143, 6: 2_915, 7: 388}
 
     def test_phase_two_runs_at_the_optimum_below(self):
-        # phase 1 raises L from the seed's 1 to 4 = ex(7,6,17), so T' =
-        # ex(7): phase 2 still runs, collecting at T' and handing over two
-        # graphs; a climb that skipped phase 2 here would stop at 300 nodes
+        # the two-weight seed finds ex(8,6,17) = 4, which is also ex(7,6,17);
+        # the collect at least() = 5 still runs the 7-vertex level at T2 = 4,
+        # the optimum below, so that level hands over both 7-vertex optima
+        # (the classes of the direct collect at floor 3) for the top level to
+        # extend, and none extends above 4
         out = S.max_product_search(8, 6, 17)
-        assert (out.value, out.optimal, out.stats["nodes"]) == (4, True, 515)
-        assert out.stats["climb"] == {
-            "seed": 1, "L": 4, "T": 4, "kept": 2, "collect_nodes": 215, "extend_nodes": 7,
-        }
+        assert (out.value, out.optimal, out.stats["nodes"]) == (4, True, 245)
+        assert out.stats["levels"] == {"two_weight": 30, 6: 203, 7: 12, 8: 0}
+        assert S.max_product_search(7, 6, 17).value == 4
+        budget = S.DEFAULT_NODE_BUDGET
+        handed = self.classes(7, 6, 17, 4, lambda st, leaf: S._collect(
+            7, 6, 17, budget, st, lambda: 4, leaf, True))
+        direct = self.classes(7, 6, 17, 4, lambda st, leaf: S._tree_search(
+            7, 6, 17, True, budget, st, 3, leaf))
+        assert handed == direct and len(handed) == 2
 
-    def test_stats_sum_over_phases(self):
+    def test_nodes_sum_over_levels(self):
+        # each level counts its own nodes, not those of the levels it hands
+        # graphs to; together with the seed's they make up every node, also
+        # when the budget stops the search
         out = S.max_product_search(7, 4, 15)
-        below = S._run_search(6, 4, 15, "product", S.DEFAULT_NODE_BUDGET, [])  # keeps ties, as the climb's
-        climb = out.stats["climb"]
-        assert climb == {
-            "seed": 60466176, "L": 60466176, "T": 361596, "kept": 24,
-            "collect_nodes": 677, "extend_nodes": 395,
-        }
-        assert out.stats["nodes"] == below.stats["nodes"] + climb["collect_nodes"] + climb["extend_nodes"]
-        for key in ("bound_prunes", "symmetry_prunes"):
-            assert out.stats[key] > below.stats[key]
-        assert "climb" not in S.cache_record(7, 4, 15, out)["stats"]
+        assert out.stats["levels"] == {"two_weight": 59, 4: 217, 5: 108, 6: 352, 7: 395}
+        assert sum(out.stats["levels"].values()) == out.stats["nodes"] == 1_131
+        assert "levels" not in S.cache_record(7, 4, 15, out)["stats"]
+        out = S.max_sum_search(7, 5, 13, node_budget=20_000)
+        assert out.stats["levels"] == {5: 10_059, 6: 7_482, 7: 2_460}
+        assert sum(out.stats["levels"].values()) == out.stats["nodes"] == 20_001
 
     @pytest.mark.parametrize(
-        "budget,climb",
+        "budget,levels",
         [
-            (50, None),
-            (160, {"L": None, "T": 7776, "kept": 1, "collect_nodes": 0, "extend_nodes": 4}),
-            (200, {"L": 419_904, "T": 5608, "kept": 0, "collect_nodes": 27, "extend_nodes": 17}),
-            (245, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 66, "extend_nodes": 23}),
-            (270, {"L": 419_904, "T": 5608, "kept": 1, "collect_nodes": 85, "extend_nodes": 29}),
-            (500, {"L": 419_904, "T": 5608, "kept": 4, "collect_nodes": 296, "extend_nodes": 48}),
+            (50, {"two_weight": 51}),
+            (160, {"two_weight": 59, 4: 65, 5: 25, 6: 12}),
+            (245, {"two_weight": 59, 4: 91, 5: 65, 6: 31}),
+            (270, {"two_weight": 59, 4: 91, 5: 73, 6: 48}),
         ],
-        ids=["50", "160", "200", "245", "270", "500"],
+        ids=["50", "160", "245", "270"],
     )
-    def test_budget_bound_in_every_phase(self, budget, climb):
-        # (6,4,15) climbs in 501 nodes: 1-157 find ex(5,4,15), 158-174 extend
-        # its one optimum in phase 1, and phase 2 runs the base collect on 4
-        # vertices in the rest, save 197-203, 229-258, 287-306, 317-351 and
-        # 358-375 where it extends to 5 vertices, and 241-252, 294-300 and
-        # 334-345 within those, where it extends to 6; so 50, 160, 200, 245
-        # and 270 stop the search at n-1, a phase-1 extension, a nested
-        # extension, a top-level extension and the base collect, and 500
-        # at its last node
+    def test_budget_bound_in_every_phase(self, budget, levels):
+        # (6,4,15) takes 403 nodes: 1-59 search the two-weight seed, and the
+        # collect runs its 4-vertex base in the rest, save 82-88, 114-125,
+        # 138-143, 172-178, 186-191, 202-218, 231-236, 243-254 and 272-277
+        # where it extends to 5 vertices, and 126-137, 179-185, 219-230 and
+        # 255-271 within those, where it extends to 6; so 50, 160, 245 and 270
+        # stop the seed, the base, a 5-vertex and a 6-vertex extension
         out = S.max_product_search(6, 4, 15, node_budget=budget)
         assert not out.optimal
         assert out.stats["nodes"] == budget + 1
-        assert out.stats.get("climb") == (climb and {"seed": 419_904, **climb})
+        assert out.stats["levels"] == levels
         assert out.stats["upper"] == S._averaging_chain(6, 4, 15, True)
         assert out.witness.find_violation(4, 15) is None
         assert out.witness.edge_product() == out.value <= 419_904
@@ -453,21 +471,72 @@ class TestClimb:
     @pytest.mark.parametrize(
         "n,s,q,value,nodes,over",
         [
-            pytest.param(9, 6, 41, 1_735_247_072_139_264, 90_842, Fraction(4, 3), marks=pytest.mark.slow),
-            (9, 4, 15, 12_694_994_583_552, 9_310, 1),
-            (10, 4, 15, 21_936_950_640_377_856, 19_567, 1),
-            (11, 4, 15, 75_814_101_413_145_870_336, 35_364, 1),
-            pytest.param(10, 6, 41, 7_589_970_693_537_140_736, 330_429, 1, marks=pytest.mark.slow),
+            pytest.param(9, 6, 41, 1_735_247_072_139_264, 70_425, Fraction(4, 3), marks=pytest.mark.slow),
+            (9, 4, 15, 12_694_994_583_552, 4_124, 1),
+            (10, 4, 15, 21_936_950_640_377_856, 10_277, 1),
+            (11, 4, 15, 75_814_101_413_145_870_336, 15_779, 1),
+            pytest.param(10, 6, 41, 7_589_970_693_537_140_736, 240_925, 1, marks=pytest.mark.slow),
+            pytest.param(9, 8, 79, 8_784_688_302_705_024, 444_787, 1, marks=pytest.mark.slow),
         ],
     )
     def test_frontier(self, n, s, q, value, nodes, over):
-        # exact within the default budget (the direct search needs 1,551,932
-        # nodes for (9,4,15)); `over` is the optimum over the construction's
-        # value: (2,3,1) beats the construction at n = 9 and meets it at 10
+        # exact within the default budget, seed nodes included (the direct
+        # search needs 1,551,932 nodes for (9,4,15)); `over` is the optimum
+        # over the construction's value: (2,3,1) beats the construction at
+        # n = 9 and meets it at 10, and (2,4,1), the paper's r = 4 point, meets
+        # it at 9
         out = S.max_product_search(n, s, q)
         assert (out.value, out.optimal, out.stats["nodes"]) == (value, True, nodes)
-        params = {(4, 15): Params(2, 2, 1), (6, 41): Params(2, 3, 1)}[s, q]
+        params = {(4, 15): Params(2, 2, 1), (6, 41): Params(2, 3, 1), (8, 79): Params(2, 4, 1)}[s, q]
         assert value == over * C.max_edge_product(params, n).value
+
+
+class TestTwoWeightSeed:
+    """search._two_weight_seed: a*K_n + H, H simple, from a capped sum search."""
+
+    @staticmethod
+    def seed(n, s, q, start):
+        """The last graph the seed hands over above start, each certified,
+        or None if none beats it; and the seed's nodes."""
+        inc, stats = [start.edge_product(), None], {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+
+        def record(value, W):
+            inc[:] = value, Multigraph(n, W)
+            assert S._certified(inc[1], n, s, q, "product", value)
+            return value
+
+        S._two_weight_seed(n, s, q, S.DEFAULT_NODE_BUDGET, stats, inc, record)
+        return inc[0], inc[1], stats["nodes"]
+
+    @pytest.mark.parametrize(
+        "n,ex,nodes",
+        [(7, 918_330_048, 176), (8, 892_616_806_656, 228), (9, 1_735_247_072_139_264, 944)],
+    )
+    def test_meets_the_optimum_at_six_forty_one(self, n, ex, nodes):
+        # (2,3,1): from the constant graph 2*K_n, the best two-weight graph is
+        # an optimum, 4/3 of the construction at n = 8 and 9
+        assert self.seed(n, 6, 41, Multigraph.constant(n, 2))[::2] == (ex, nodes)
+
+    def test_construction_stays_the_seed_at_eight_vertices(self):
+        # (2,2,1): no two-weight graph beats the construction, so no H passes
+        # the break-even floor
+        best = max(S._seed_witnesses(8, 4, 15, "product"), key=Multigraph.edge_product)
+        assert best.edge_product() == C.max_edge_product(Params(2, 2, 1), 8).value
+        assert self.seed(8, 4, 15, best) == (best.edge_product(), None, 59)
+
+    def test_never_exceeds_the_engine_on_the_grid(self):
+        # from the constant graph a*K_n the seed finds the best two-weight
+        # graph, the optimum of a restriction, so never above the optimum
+        golden = json.loads((Path(__file__).parent / "golden" / "grid.json").read_text(encoding="utf-8"))
+        rows = 0
+        for key, (ex, optimal) in golden.items():
+            mode, n, s, q = key.split()
+            n, s, q = int(n), int(s), int(q)
+            if mode == "product" and optimal and q >= s * (s - 1) // 2:
+                value = self.seed(n, s, q, Multigraph.constant(n, q // (s * (s - 1) // 2)))[0]
+                assert value <= int(ex), key
+                rows += 1
+        assert rows == 190
 
 
 class TestCounting:
@@ -677,7 +746,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) climbs in 501 nodes, 157 of them for ex(5,4,15), so 50 stops it
+        # (6,4,15) takes 403 nodes, the two-weight seed's 59 first, so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

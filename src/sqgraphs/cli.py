@@ -114,27 +114,24 @@ def _count_command(args) -> int:
 
 def _search_command(args) -> int:
     n, s, q = args.n, args.s, args.q
-    outcome = None
+    seed = None
     if args.cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", search.CacheWarning)
-            outcome = search.cached_outcome(args.cache, n, s, q, args.mode)
+            seed = search.cached_outcome(args.cache, n, s, q, args.mode)
         for warning in caught:
             print(f"warning: {warning.message}", file=sys.stderr)
-    fresh = outcome is None
-    if fresh:
-        engine = search.max_sum_search if args.mode == "sum" else search.max_product_search
-        outcome = engine(n, s, q, node_budget=args.budget)
-    record = _search_record(
-        args, outcome.value, outcome.optimal, outcome.stats.get("source", "search")
-    )
+    engine = search.max_sum_search if args.mode == "sum" else search.max_product_search
+    outcome = engine(n, s, q, node_budget=args.budget, seed=seed)
+    source = outcome.stats["source"]
+    record = _search_record(args, outcome.value, outcome.optimal, source)
     record["upper"] = str(outcome.stats["upper"])
     if outcome.witness is not None:
         record["witness"] = _write_out(
             args, f"{args.command}_n{n}_s{s}_q{q}.witness.json", outcome.witness.dumps()
         )
     _emit(record, args, [False])
-    if args.cache and fresh:
+    if args.cache and source == "search":  # a "cache" outcome found nothing new to store
         search.append_cache(args.cache, search.cache_record(n, s, q, outcome))
     return EXIT_OK if outcome.optimal else EXIT_BUDGET
 

@@ -16,7 +16,7 @@ import warnings
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb, prod
 from operator import itemgetter
 
@@ -423,14 +423,19 @@ def _two_weight_seed(n: int, s: int, q: int, budget: int, stats: dict, inc: list
     _search(n, s, t, False, budget, stats, lambda: h + 1, take, cap=1)
 
 
-def _run_search(n: int, s: int, q: int, mode: str, node_budget: int) -> SearchOutcome:
+def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, seed: Multigraph | None) -> SearchOutcome:
+    """The one search behind every outcome.  A seed (a cached witness) is the
+    first incumbent, and is proved optimal only as every seed is."""
     t0 = time.perf_counter()
     _validate(n, s, q)
+    if seed is not None and not (seed.n == n and seed.satisfies(s, q)):
+        raise ValueError(f"seed is not an ({s},{q})-graph on {n} vertices")
     product = mode == "product"
 
     upper = _averaging_chain(n, s, q, product)
     inc = [-1, None]
-    for seeds, g in enumerate(_seed_witnesses(n, s, q, mode), 1):  # none can exceed upper
+    given = [] if seed is None else [seed]
+    for seeds, g in enumerate(chain(given, _seed_witnesses(n, s, q, mode)), 1):  # none can exceed upper
         value = _graph_value(g, mode)
         if value > inc[0]:  # strictly, so the first maximal seed stays
             inc[:] = value, g
@@ -460,22 +465,22 @@ def _run_search(n: int, s: int, q: int, mode: str, node_budget: int) -> SearchOu
     stats["upper"] = inc_val if optimal else upper
     stats["wall_time"] = time.perf_counter() - t0
     stats["seeds"] = seeds
-    stats["source"] = "search"
+    stats["source"] = "cache" if inc_wit is seed else "search"
     return SearchOutcome(mode=mode, value=inc_val, witness=inc_wit, optimal=optimal, stats=stats)
 
 
 def max_sum_search(
-    n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET
+    n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET, seed: Multigraph | None = None
 ) -> SearchOutcome:
-    """Exact maximum edge sum over all (s,q)-graphs on n vertices."""
-    return _run_search(n, s, q, "sum", node_budget)
+    """Exact maximum edge sum over all (s,q)-graphs on n vertices, from seed if given."""
+    return _run_search(n, s, q, "sum", node_budget, seed)
 
 
 def max_product_search(
-    n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET
+    n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET, seed: Multigraph | None = None
 ) -> SearchOutcome:
-    """Exact maximum edge product over all (s,q)-graphs on n vertices."""
-    return _run_search(n, s, q, "product", node_budget)
+    """Exact maximum edge product over all (s,q)-graphs on n vertices, from seed if given."""
+    return _run_search(n, s, q, "product", node_budget, seed)
 
 
 def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET) -> int:
@@ -684,6 +689,8 @@ def brute_force(
 
 
 def cache_record(n: int, s: int, q: int, outcome: SearchOutcome) -> dict:
+    """The line that stores outcome.  Its "optimal" and "stats" describe the
+    run that wrote it; no lookup reads them (see cached_outcome)."""
     return {
         "key": {"n": n, "s": s, "q": q, "mode": outcome.mode},
         "value": str(outcome.value),
@@ -735,27 +742,20 @@ def load_cache(path: str) -> dict[tuple, dict]:
     return out
 
 
-def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> SearchOutcome | None:
-    """Reload an optimal cached outcome, or None if absent, non-optimal or unsound.
+def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> Multigraph | None:
+    """The cached witness for the key, or None if absent or unsound.
 
-    A record is served only when its "optimal" is JSON true and its
-    witness passes _certified at the stored value; anything else is a
-    miss, so the caller searches again.  The witness proves only that the
-    value is attained, a lower bound: the "optimal" flag itself is
-    trusted, so a record edited to a worse value with a matching feasible
-    witness is served as optimal.
+    The witness is returned only when it passes _certified at the record's
+    stored value; anything else is a miss.  It proves only that the value
+    is attained, so it serves as the search's first seed (see _run_search),
+    never as an optimum: the record's "optimal" and "stats" are not read.
     """
     rec = load_cache(path).get((n, s, q, mode))
-    if rec is None or rec.get("optimal") is not True:
+    if rec is None:
         return None
     try:
         value = int(rec["value"])
         witness = Multigraph.from_dict(rec["witness"])
-        stats = dict(rec.get("stats", {}))
     except (KeyError, TypeError, ValueError):
         return None
-    if not _certified(witness, n, s, q, mode, value):
-        return None
-    stats["source"] = "cache"
-    stats["upper"] = value
-    return SearchOutcome(mode, value, witness, True, stats)
+    return witness if _certified(witness, n, s, q, mode, value) else None

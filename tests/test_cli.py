@@ -174,11 +174,6 @@ class TestSearchCommands:
         fields = record_fields(out)
         assert fields["source"] == "search" and fields["value"] == "216"
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 7: a cached record's optimal flag is trusted, so a worse"
-        " value with a matching feasible witness is served as optimal",
-    )
     def test_cache_worse_record_is_not_served_as_optimal(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
         argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
@@ -190,7 +185,43 @@ class TestSearchCommands:
         with open(cache, "a") as fh:
             fh.write(json.dumps(rec) + "\n")
         code, out, _ = run(capsys, *argv)
-        assert record_fields(out)["value"] == "216"
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        # the edited witness is feasible, so it only seeds the search
+        assert (fields["value"], fields["optimal"], fields["source"]) == ("216", "true", "search")
+        assert len(open(cache).read().splitlines()) == 3
+
+    def test_cache_seed_below_the_root_bound_is_proved_again(self, capsys, tmp_path):
+        # exsum 5 3 13 = 42, and the averaging chain gives only 43
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("exsum", "5", "3", "13", "--cache", cache, "--out", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert record_fields(out)["source"] == "search"
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert (fields["value"], fields["optimal"], fields["source"]) == ("42", "true", "cache")
+        # the proof needs nodes: within too small a budget the record stays a lower bound
+        code, out, _ = run(capsys, *argv, "--budget", "5")
+        assert code == EXIT_BUDGET
+        fields = record_fields(out)
+        assert (fields["value"], fields["optimal"], fields["upper"]) == ("42", "false", "43")
+        assert fields["source"] == "cache"
+        assert len(open(cache).read().splitlines()) == 1
+
+    def test_cache_budget_bound_rerun_appends_no_duplicate(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("expi", "6", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        for _ in range(2):
+            code, out, _ = run(capsys, *argv, "--budget", "50")
+            assert code == EXIT_BUDGET
+        assert record_fields(out)["source"] == "cache"
+        assert len(open(cache).read().splitlines()) == 1
+        code, out, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        fields = record_fields(out)
+        assert (fields["value"], fields["optimal"]) == ("419904", "true")
 
     def test_count_ignores_cache(self, capsys, tmp_path):
         # a count record has no witness to re-check, so count has no --cache

@@ -770,17 +770,31 @@ class TestEngineContracts:
             S.count_graphs(4, 3, -1)
 
 
+class TestSeed:
+    @pytest.mark.parametrize("seed", [Multigraph.constant(4, 3), Multigraph.constant(5, 2)])
+    @pytest.mark.parametrize("engine", [S.max_sum_search, S.max_product_search])
+    def test_seed_must_be_an_sq_graph_on_n_vertices(self, monkeypatch, engine, seed):
+        # K_4 with weight 3 has 18 > 15 on its 4-set; K_5 is on the wrong vertex count
+        def no_search(*args):
+            raise AssertionError("a search started")
+
+        monkeypatch.setattr(S, "_seed_witnesses", no_search)
+        with pytest.raises(ValueError, match="seed is not an"):
+            engine(4, 4, 15, seed=seed)
+
+
 class TestCache:
     def test_round_trip_and_short_circuit(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
         out = S.max_product_search(4, 4, 15)
         S.append_cache(path, S.cache_record(4, 4, 15, out))
         hit = S.cached_outcome(path, 4, 4, 15, "product")
-        assert hit is not None
-        assert hit.value == out.value
-        assert hit.witness == out.witness
-        assert hit.stats["source"] == "cache"
+        assert hit == out.witness
         assert S.cached_outcome(path, 4, 4, 14, "product") is None
+        # 216 meets the root bound, so the seeded search takes no node
+        again = S.max_product_search(4, 4, 15, seed=hit)
+        assert (again.value, again.optimal, again.stats["nodes"]) == (216, True, 0)
+        assert again.stats["source"] == "cache"
 
     def test_record_is_line_json(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -799,19 +813,29 @@ class TestCache:
         assert S.cached_outcome(path, 3, 2, 4, "sum") is None
 
     def test_non_optimal_records_do_not_short_circuit(self, tmp_path):
+        # a budget-bound record's witness is a lower bound: it seeds, nothing more
         path = str(tmp_path / "cache.jsonl")
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         S.append_cache(path, S.cache_record(6, 4, 15, out))
-        assert S.cached_outcome(path, 6, 4, 15, "product") is None
+        hit = S.cached_outcome(path, 6, 4, 15, "product")
+        assert hit == out.witness
+        again = S.max_product_search(6, 4, 15, node_budget=50, seed=hit)
+        assert not again.optimal and again.stats["upper"] == out.stats["upper"]
+        full = S.max_product_search(6, 4, 15, seed=hit)
+        assert (full.value, full.optimal) == (419904, True)
 
     @pytest.mark.parametrize("flag", ["false", 1])
-    def test_optimal_must_be_json_true(self, tmp_path, flag):
+    def test_optimal_flag_is_not_read(self, tmp_path, flag):
         path = str(tmp_path / "cache.jsonl")
-        rec = S.cache_record(4, 4, 15, S.max_product_search(4, 4, 15))
+        out = S.max_product_search(4, 4, 15)
+        rec = S.cache_record(4, 4, 15, out)
         rec["optimal"] = flag
         S.append_cache(path, rec)
-        assert S.cached_outcome(path, 4, 4, 15, "product") is None
+        hit = S.cached_outcome(path, 4, 4, 15, "product")
+        assert hit == out.witness
+        again = S.max_product_search(4, 4, 15, seed=hit)
+        assert (again.value, again.optimal, again.stats["source"]) == (216, True, "cache")
 
     def test_torn_last_line_is_skipped(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -821,7 +845,7 @@ class TestCache:
         with open(path, "a") as fh:
             fh.write(line[: len(line) // 2])
         with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
-            assert S.cached_outcome(path, 3, 2, 4, "sum").value == out.value
+            assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
         with pytest.warns(S.CacheWarning):
             assert S.cached_outcome(path, 3, 2, 5, "sum") is None
 
@@ -881,4 +905,4 @@ class TestCache:
         stale["value"] = "999"
         S.append_cache(path, stale)
         S.append_cache(path, S.cache_record(3, 2, 4, out))
-        assert S.cached_outcome(path, 3, 2, 4, "sum").value == out.value
+        assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness

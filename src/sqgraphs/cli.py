@@ -126,10 +126,8 @@ def _search_command(args) -> int:
     source = outcome.stats["source"]
     record = _search_record(args, outcome.value, outcome.optimal, source)
     record["upper"] = str(outcome.stats["upper"])
-    if outcome.witness is not None:
-        record["witness"] = _write_out(
-            args, f"{args.command}_n{n}_s{s}_q{q}.witness.json", outcome.witness.dumps()
-        )
+    stem = f"{args.command}_n{n}_s{s}_q{q}"
+    record["witness"] = _write_out(args, stem + ".witness.json", outcome.witness.dumps())
     _emit(record, args, [False])
     if args.cache and source == "search":  # a "cache" outcome found nothing new to store
         search.append_cache(args.cache, search.cache_record(n, s, q, outcome))

@@ -540,17 +540,18 @@ def _level_radices(c: int, j: int, P: int) -> list[int]:
 
 @lru_cache(maxsize=None)
 def _bf_table(n: int) -> dict:
-    """Exhaustive enumeration on n vertices, grown by _bf_grow one level at a time.
+    """Exhaustive enumeration on n vertices, kept as a list of finished levels.
 
     Level c holds the (c+1)^P - c^P assignments whose largest entry is
     exactly c, as P blocks: in block j the first entry equal to c is entry
     j.  An assignment's index is c^P plus its offset in the level (blocks
     in order, then digits of _level_radices, least significant first), so
-    it does not depend on how far the table has grown.  For every s in
-    2..n, tables[s][:, c, m] records how many level-c assignments have
-    maximum s-set sum m, and the best total sum and product among them,
-    each encoded as value * _IDX + (_IDX - 1 - index): the largest code
-    is the largest value at the smallest index.
+    it does not depend on how many levels are kept.  For every s in 2..n,
+    levels[c][s][:, m] records how many level-c assignments have maximum
+    s-set sum m (at most c * C(s,2)), and the best total sum and product
+    among them, each encoded as value * _IDX + (_IDX - 1 - index): the
+    largest code is the largest value at the smallest index.  _bf_grow
+    appends a level only once it is finished.
     """
     P = n * (n - 1) // 2
     rows, incidence = {}, []
@@ -561,24 +562,18 @@ def _bf_table(n: int) -> dict:
             row[[pair_rank(u, v) for u, v in combinations(X, 2)]] = 1
             incidence.append(row)
         rows[s] = slice(start, len(incidence))
-    empty = np.zeros((3, 0, 0), dtype=np.int64)
-    return {"cap": -1, "incidence": np.array(incidence), "rows": rows,
-            "tables": dict.fromkeys(rows, empty)}
+    return {"incidence": np.array(incidence), "rows": rows, "levels": []}
 
 
-def _bf_grow(n: int, cap: int) -> dict[int, np.ndarray]:
-    """The tables of n by s, enumerated up to level cap."""
+def _bf_grow(n: int, cap: int) -> list[dict[int, np.ndarray]]:
+    """The levels of n, enumerated up to level cap."""
     table = _bf_table(n)
-    tables, done = table["tables"], table["cap"] + 1
+    levels = table["levels"]
     P = n * (n - 1) // 2
-    if cap >= done:
-        # rows past the last finished level start fresh, so a growth that
-        # was interrupted is redone from its unfinished level
-        for s, old in tables.items():
-            tables[s] = np.full((3, cap + 1, cap * s * (s - 1) // 2 + 1), -1, dtype=np.int64)
-            tables[s][0] = 0
-            tables[s][:, :done, : old.shape[2]] = old[:, :done]
-    for c in range(done, cap + 1):
+    for c in range(len(levels), cap + 1):
+        # per s and maximum s-set sum: a count of 0 and no code yet (-1)
+        level = {s: np.repeat(np.array([[0], [-1], [-1]], np.int64), c * comb(s, 2) + 1, axis=1)
+                 for s in table["rows"]}
         start = c**P
         for j in range(P):
             # int32 digits: offsets stay below _IDX (see brute_force)
@@ -595,14 +590,14 @@ def _bf_grow(n: int, cap: int) -> dict[int, np.ndarray]:
                 enc_prod = np.multiply.reduce(W, axis=0, dtype=np.int64) * _IDX + tiebreak
                 # s-set sums are below _IDX, so exact in float64
                 setsums = table["incidence"] @ W.astype(np.float64)
-                for s, tab in tables.items():
+                for s, tab in level.items():
                     m = setsums[table["rows"][s]].max(axis=0).astype(np.int64)
-                    tab[0, c] += np.bincount(m, minlength=tab.shape[2])
-                    np.maximum.at(tab[1, c], m, enc_sum)
-                    np.maximum.at(tab[2, c], m, enc_prod)
+                    tab[0] += np.bincount(m, minlength=tab.shape[1])
+                    np.maximum.at(tab[1], m, enc_sum)
+                    np.maximum.at(tab[2], m, enc_prod)
             start += block
-        table["cap"] = c
-    return tables
+        levels.append(level)
+    return levels
 
 
 def _decode_assignment(n: int, idx: int) -> Multigraph:
@@ -621,22 +616,16 @@ def _decode_assignment(n: int, idx: int) -> Multigraph:
     return Multigraph(n, weights)
 
 
-def brute_force(
-    n: int,
-    s: int,
-    q: int,
-    mode: str,
-    weight_cap: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> SearchOutcome:
+def brute_force(n: int, s: int, q: int, mode: str, weight_cap: int) -> SearchOutcome:
     """Full enumeration over all weight assignments with entries <= weight_cap.
 
     No pruning beyond the per-edge cap: every one of the (cap+1)^C(n,2)
-    assignments is generated and tested, once per n, as the table of n
-    grows level by level.  With weight_cap = q the result is the
-    unrestricted optimum, since any pair lies inside an s-set.  Ties go
-    to the assignment of smallest index (see _bf_table).  Used only to
-    validate the pruned engines.
+    assignments is generated and tested, once per n, as levels 0..cap of
+    the table of n (see _bf_table), each read up to maximum s-set sum q.
+    With weight_cap = q the result is the unrestricted optimum, since any
+    pair lies inside an s-set.  Ties go to the assignment of smallest
+    index.  Instances over DEFAULT_ORACLE_BUDGET assignments or table
+    cells are refused.  Used only to validate the pruned engines.
     """
     t0 = time.perf_counter()
     _validate(n, s, q)
@@ -647,19 +636,16 @@ def brute_force(
 
     P = n * (n - 1) // 2
     total = (weight_cap + 1) ** P
-    cells = (weight_cap + 1) * (weight_cap * P + 1)  # rows x columns at s = n
-    if max(total, cells) > budget:
+    cells = (weight_cap + 1) * (weight_cap * P + 1)  # bounds the cells of levels 0..cap at s = n
+    if max(total, cells) > DEFAULT_ORACLE_BUDGET:
         raise BudgetExceededError(
             f"brute force over {total} assignments in a table of {cells} cells"
-            f" exceeds the budget of {budget}"
+            f" exceeds the budget of {DEFAULT_ORACLE_BUDGET}"
         )
-    # every index, sum and product is then below _IDX, so codes fit in int64
-    if total >= _IDX:
-        raise BudgetExceededError(
-            "instance too large for exact vectorized enumeration"
-        )
+    # DEFAULT_ORACLE_BUDGET < _IDX, so every index, sum and product is below
+    # _IDX and codes fit in int64
 
-    tab = _bf_grow(n, weight_cap)[s][:, : weight_cap + 1, : q + 1]
+    tabs = [level[s][:, : q + 1] for level in _bf_grow(n, weight_cap)[: weight_cap + 1]]
     stats = {
         "nodes": total,
         "bound_prunes": 0,
@@ -668,13 +654,12 @@ def brute_force(
     }
 
     if mode == "count":
-        value = int(tab[0].sum())
+        value = sum(int(tab[0].sum()) for tab in tabs)
         stats["wall_time"] = time.perf_counter() - t0
         return SearchOutcome("count", value, None, True, stats)
 
-    best = int(tab[1 if mode == "sum" else 2].max())
-    if best < 0:
-        raise RuntimeError("no feasible assignment found (unreachable: 0 is feasible)")
+    # level 0, the zero assignment, is feasible, so best >= 0
+    best = max(int(tab[1 if mode == "sum" else 2].max()) for tab in tabs)
     value, code = divmod(best, _IDX)
     witness = _decode_assignment(n, _IDX - 1 - code)
     if not _certified(witness, n, s, q, mode, value):
@@ -713,13 +698,13 @@ def load_cache(path: str) -> dict[tuple, dict]:
     """Latest record per key, keeping only this engine version.
 
     The file is untrusted input: a line that is not JSON or lacks the key
-    fields (a torn last write, a hand edit) is skipped, and one
-    CacheWarning reports how many were.
+    fields (a torn last write, a hand edit, bytes that are not UTF-8) is
+    skipped, and one CacheWarning reports how many were.
     """
     out: dict[tuple, dict] = {}
     skipped = 0
     try:
-        fh = open(path, "r", encoding="utf-8")
+        fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
         return out
     with fh:

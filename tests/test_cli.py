@@ -127,6 +127,18 @@ class TestSearchCommands:
         warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1 and "skipped 1 malformed" in warnings[0]
 
+    def test_cache_non_utf8_line_warns(self, capsys, tmp_path):
+        cache = str(tmp_path / "cache.jsonl")
+        argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        run(capsys, *argv)
+        with open(cache, "ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        code, out, err = run(capsys, *argv)
+        assert code == EXIT_OK
+        assert record_fields(out)["source"] == "cache"
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 1 and "skipped 1 malformed" in warnings[0]
+
     def test_cache_edited_value_is_searched_again(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
         argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))

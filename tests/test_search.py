@@ -11,6 +11,7 @@ from functools import lru_cache, partial
 from itertools import combinations, permutations, product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sqgraphs import constructions as C
@@ -576,17 +577,48 @@ class TestOracle:
 
     def test_budget_guard(self):
         S._bf_table.cache_clear()
-        with pytest.raises(S.BudgetExceededError):
-            S.brute_force(5, 3, 9, "sum", 9, budget=1000)
-        assert S._bf_table(5)["cap"] == -1  # refused before enumerating
-        value = S.brute_force(5, 3, 2, "sum", 2).value
-        assert value == S.max_sum_search(5, 3, 2).value
-        # the budget gates a query; it does not key the table
-        misses = S._bf_table.cache_info().misses
-        assert S.brute_force(5, 3, 2, "sum", 2, budget=10**6).value == value
-        assert S._bf_table.cache_info().misses == misses
+        with pytest.raises(S.BudgetExceededError):  # 10^10 assignments
+            S.brute_force(5, 3, 9, "sum", 9)
+        assert S._bf_table(5)["levels"] == []  # refused before enumerating
+        assert S.brute_force(5, 3, 2, "sum", 2).value == S.max_sum_search(5, 3, 2).value
         with pytest.raises(S.BudgetExceededError):  # (cap+1)^2 table cells at n = 2
             S.brute_force(2, 2, 10**4, "sum", 10**4)
+
+    def test_budget_keeps_codes_in_int64(self):
+        # every index, sum and product of an admitted instance is below _IDX
+        assert S.DEFAULT_ORACLE_BUDGET < S._IDX
+
+    def test_interrupted_growth_keeps_only_finished_levels(self, monkeypatch):
+        cases = [(s, mode) for s in (2, 3, 4) for mode in ("sum", "product", "count")]
+
+        def run():
+            outs = {(s, mode): S.brute_force(4, s, 6, mode, 6) for s, mode in cases}
+            return {case: (out.value, out.witness and out.witness.weights()) for case, out in outs.items()}
+
+        def same_levels(levels, want):
+            return all(
+                a.keys() == b.keys() and all(np.array_equal(a[s], b[s]) for s in b)
+                for a, b in zip(levels, want, strict=True)
+            )
+
+        S._bf_table.cache_clear()
+        fresh, fresh_levels = run(), S._bf_table(4)["levels"]
+        S._bf_table.cache_clear()
+        calls, bincount = [0], np.bincount
+
+        def failing(*args, **kwargs):
+            calls[0] += 1
+            if calls[0] == 30:  # partway through level 2: 3 calls at level 0, then 18 per level
+                raise MemoryError
+            return bincount(*args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(S.np, "bincount", failing)
+            with pytest.raises(MemoryError):
+                S.brute_force(4, 3, 6, "sum", 6)
+        assert same_levels(S._bf_table(4)["levels"], fresh_levels[:2])
+        assert run() == fresh
+        assert same_levels(S._bf_table(4)["levels"], fresh_levels)
 
     def test_witness_does_not_depend_on_cap(self):
         cases = [(s, q, mode) for s in (2, 3, 4) for q in (3, 5, 7) for mode in ("sum", "product")]
@@ -848,6 +880,15 @@ class TestCache:
             assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
         with pytest.warns(S.CacheWarning):
             assert S.cached_outcome(path, 3, 2, 5, "sum") is None
+
+    def test_non_utf8_line_is_skipped(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\xfe garbage\n")
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
 
     def test_record_without_key_fields_is_skipped(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

@@ -161,6 +161,44 @@ def _lex_leader(W: list[int], j: int, R: tuple[tuple[int, ...], ...]) -> bool:
     return True
 
 
+def _canonical_form(W: Sequence[int], m: int) -> tuple[int, ...]:
+    """A complete invariant of the m-vertex graph W: the lex-max colex weight
+    vector over the labelings that list the vertices by non-increasing
+    sorted incident weights (an isomorphism maps these onto the other's).
+    The picks fix the columns in turn, as in _lex_leader; only the largest
+    column goes on, and a branch below the best vector found stops.  Twins
+    (equal weights to every third vertex) are swapped by an automorphism,
+    so each pick tries one vertex per twin class."""
+    R = _rank_table(m)
+    A = [[W[R[u][v]] if u != v else -1 for v in range(m)] for u in range(m)]
+    degrees = [sorted(row, reverse=True) for row in A]
+    cells = sorted(degrees, reverse=True)
+
+    def twins(u: int, v: int) -> bool:
+        row = A[u][:]
+        row[u], row[v] = row[v], row[u]
+        return row == A[v]
+
+    twin = [next(v for v in range(m) if twins(u, v)) for u in range(m)]  # least twin
+
+    def pick(p: list[int], vec: list[int], best: list[int]) -> list[int]:
+        """The larger of best and the best vector that completes p."""
+        if len(p) == m:
+            return vec  # not below best, or it was dropped
+        cols = {}  # one candidate per twin class, with its column
+        for z in range(m):
+            if z not in p and degrees[z] == cells[len(p)]:
+                cols[twin[z]] = [A[x][z] for x in p], z
+        top = max(cols.values())[0]
+        vec = vec + top
+        for col, z in cols.values():
+            if col == top and vec >= best[: len(vec)]:
+                best = pick(p + [z], vec, best)
+        return best
+
+    return tuple(pick([], [], []))
+
+
 @lru_cache(maxsize=None)
 def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
     """Per depth k of the rank-order search, with X indexing the s-sets
@@ -361,11 +399,16 @@ def _collect(
     T2**m >= T**(m-2), or e(H-v) >= T2 = ceil((m-2)*T/m), where T = least().
     At m = s a search at floor least()-1 reaches H's lex-max labeling (see
     _lex_leader; the bounds prune no leaf above the floor).  Above s, H is
-    a collected H-v plus a vertex v, put last; grow extends each H-v at
-    floor least()-1 and returns T2 - 1, so every floor rises with least().
+    a collected H-v plus a vertex v, put last; grow extends H-v at floor
+    least()-1 and returns T2 - 1, so every floor rises with least().
     Extensions skip the lex-leader tests, which could reject every labeling
-    of H that extends H-v, so H may come in several labelings.  A cap keeps
-    the lemma: the capped graphs are closed under induced subgraphs.
+    of H that extends H-v, so H may come in several labelings.  grow
+    extends one H-v per class (by _canonical_form) and counts the rest in
+    stats["duplicates"], keyed as stats["levels"].  Sound: isomorphic H-v
+    have isomorphic extensions, the contract is a labeling of each class,
+    and least() only grows, so a class's first extension handed over every
+    one above any later floor.  A cap keeps the lemma: the capped graphs
+    are closed under induced subgraphs.
     """
     if m == s:
         _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
@@ -375,8 +418,16 @@ def _collect(
         T = least()
         return _iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m)
 
+    seen, level = set(), m if cap is None else "two_weight"
+    duplicates = stats.setdefault("duplicates", {})
+
     def grow(value: int, H: Sequence[int]) -> int:
-        _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, H, cap)
+        form = _canonical_form(H, m - 1)
+        if form in seen:
+            duplicates[level] = duplicates.get(level, 0) + 1
+        else:
+            seen.add(form)
+            _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, H, cap)
         return least_below() - 1
 
     _collect(m - 1, s, q, budget, stats, least_below, grow, product, cap)

@@ -65,7 +65,7 @@ class TestSearchCommands:
         assert code == EXIT_USAGE
 
     def test_budget_bound_exit(self, capsys, tmp_path):
-        # (6,4,15) takes 403 nodes, the two-weight seed's 59 first, so 40 stops it
+        # (6,4,15) takes 396 nodes, the two-weight seed's 59 first, so 40 stops it
         code, out, _ = run(
             capsys, "expi", "6", "4", "15", "--budget", "40", "--out", str(tmp_path)
         )

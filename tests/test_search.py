@@ -80,25 +80,25 @@ class TestAveragingBound:
         out = S.max_product_search(7, 4, 15)
         assert out.value == 60466176
         assert out.optimal
-        assert out.stats["nodes"] <= 1_131
+        assert out.stats["nodes"] <= 635
 
     @pytest.mark.parametrize(
         "engine,n,s,q,budget,expected",
         [
             # a collect (products on n >= s+1, sums on n >= s+2) counts every
             # level, and a product search the two-weight seed's nodes too
-            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 403, 176, 89, 419904)),
-            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 1131, 654, 89, 60466176)),
-            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 614, 329, 130, 95551488)),
+            ("product", 6, 4, 15, S.DEFAULT_NODE_BUDGET, (419904, True, 396, 170, 89, 419904)),
+            ("product", 7, 4, 15, S.DEFAULT_NODE_BUDGET, (60466176, True, 635, 290, 89, 60466176)),
+            ("product", 6, 4, 21, S.DEFAULT_NODE_BUDGET, (95551488, True, 592, 310, 130, 95551488)),
             ("product", 7, 6, 41, S.DEFAULT_NODE_BUDGET, (918330048, True, 3409, 1954, 1010, 918330048)),
-            ("sum", 7, 5, 13, 20_000, (24, False, 20001, 6530, 2943, 26)),
+            ("sum", 7, 5, 13, 20_000, (24, False, 20001, 5776, 3102, 26)),
             # the search stops at the leaf where the incumbent meets upper,
             # here the two-weight seed's
             ("product", 5, 4, 15, S.DEFAULT_NODE_BUDGET, (7776, True, 20, 6, 0, 7776)),
             ("sum", 4, 3, 13, S.DEFAULT_NODE_BUDGET, (26, True, 6, 0, 0, 26)),
             # the benchmark ladder's two largest climbed rungs
-            ("product", 8, 4, 15, S.DEFAULT_NODE_BUDGET, (17414258688, True, 3391, 2087, 159, 17414258688)),
-            ("product", 7, 4, 21, S.DEFAULT_NODE_BUDGET, (123834728448, True, 980, 531, 207, 123834728448)),
+            ("product", 8, 4, 15, S.DEFAULT_NODE_BUDGET, (17414258688, True, 1016, 442, 159, 17414258688)),
+            ("product", 7, 4, 21, S.DEFAULT_NODE_BUDGET, (123834728448, True, 888, 456, 207, 123834728448)),
         ],
     )
     def test_pruning_is_pinned(self, engine, n, s, q, budget, expected):
@@ -269,6 +269,110 @@ class TestLexLeader:
         for _ in range(500):
             self.check([rng.choice((1, 2)) for _ in range(15)], 5)
 
+
+class TestCanonicalForm:
+    """search._canonical_form, the key by which _collect extends one graph
+    per isomorphism class."""
+
+    @staticmethod
+    def brute(W, m):
+        """The lex-max colex vector over every relabeling that lists the
+        vertices in non-increasing order of their sorted incident weights."""
+        R = S._rank_table(m)
+        degrees = [sorted((W[R[u][v]] for v in range(m) if v != u), reverse=True) for u in range(m)]
+        colex = [(u, v) for v in range(1, m) for u in range(v)]
+        return max(
+            tuple(W[R[p[u]][p[v]]] for u, v in colex)
+            for p in permutations(range(m))
+            if all(degrees[p[i]] >= degrees[p[i + 1]] for i in range(m - 1))
+        )
+
+    @staticmethod
+    def relabel(W, m, p):
+        """W with vertex u renamed p[u]."""
+        out = [0] * len(W)
+        for v in range(1, m):
+            for u in range(v):
+                out[pair_rank(p[u], p[v])] = W[pair_rank(u, v)]
+        return out
+
+    @staticmethod
+    def graph(rng, m):
+        top = rng.choice((1, 2, 3))
+        return [rng.randint(0, top) for _ in range(m * (m - 1) // 2)]
+
+    def test_equals_the_brute_force_form(self):
+        rng = random.Random(29)
+        for _ in range(400):
+            m = rng.randint(2, 6)
+            W = self.graph(rng, m)
+            assert S._canonical_form(W, m) == self.brute(W, m), (W, m)
+
+    def test_does_not_change_under_relabeling(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            m = rng.randint(2, 9)
+            W = self.graph(rng, m)
+            p = rng.sample(range(m), m)
+            assert S._canonical_form(self.relabel(W, m, p), m) == S._canonical_form(W, m), (W, p)
+
+    def test_agrees_with_networkx_isomorphism(self):
+        # pairs with the same incident weights at every vertex: a relabeling
+        # of W, and half the time one with the weights swapped around a
+        # 4-cycle a-b-c-d whose pairs alternate between two weights
+        nx = pytest.importorskip("networkx", reason="checks isomorphism; not a package dependency")
+        match = nx.algorithms.isomorphism.numerical_edge_match("weight", 0)
+        rng = random.Random(37)
+        verdicts = []
+        for _ in range(300):
+            m = rng.randint(4, 8)
+            W = [rng.randint(0, 1) for _ in range(m * (m - 1) // 2)]
+            V = self.relabel(W, m, rng.sample(range(m), m))
+            for _ in range(20 if rng.random() < 0.5 else 0):
+                a, b, c, d = rng.sample(range(m), 4)
+                ab, bc, cd, da = (pair_rank(min(e), max(e)) for e in ((a, b), (b, c), (c, d), (d, a)))
+                if V[ab] == V[cd] != V[bc] == V[da]:
+                    V[ab], V[bc], V[cd], V[da] = V[bc], V[ab], V[da], V[cd]
+                    break
+            graphs = []
+            for weights in (W, V):
+                graphs.append(nx.Graph())
+                graphs[-1].add_weighted_edges_from(Multigraph(m, weights).pairs())
+            same = S._canonical_form(W, m) == S._canonical_form(V, m)
+            assert same == nx.is_isomorphic(*graphs, edge_match=match), (W, V)
+            verdicts.append(same)
+        assert min(sum(verdicts), len(verdicts) - sum(verdicts)) >= 50  # both verdicts occur
+
+
+# ex(n) on the exact rungs of the paper's points (a,r,d) = (2,2,1), (3,2,1),
+# (2,3,1) and (2,4,1), that is (s,q) = (4,15), (4,21), (6,41) and (8,79); the
+# engine meets each of them in this file, most in TestClimb.test_frontier
+EXACT_RUNGS = {
+    (4, 15): {
+        4: 216,
+        5: 7_776,
+        6: 419_904,
+        7: 60_466_176,
+        8: 17_414_258_688,
+        9: 12_694_994_583_552,
+        10: 21_936_950_640_377_856,
+        11: 75_814_101_413_145_870_336,
+        12: 524_027_068_967_664_255_762_432,
+        13: 10_314_424_798_490_535_546_171_949_056,
+    },
+    (4, 21): {6: 95_551_488, 7: 123_834_728_448, 11: 51_513_956_987_797_266_998_470_115_328},
+    (6, 41): {
+        7: 918_330_048,
+        8: 892_616_806_656,
+        9: 1_735_247_072_139_264,
+        10: 7_589_970_693_537_140_736,
+        11: 88_529_418_169_417_209_544_704,
+        12: 3_097_821_400_584_246_996_388_282_368,
+    },
+    (8, 79): {9: 8_784_688_302_705_024},
+}
+
+
 class TestClimb:
     """Product searches on n >= s+1 vertices and sum searches on n >= s+2
     climb from s vertices (search._collect), after the two-weight seed."""
@@ -305,7 +409,7 @@ class TestClimb:
                     assert out.witness.edge_product() == out.value
                     rows, nodes = rows + 1, nodes + out.stats["nodes"]
         # pinned, so that a row needing more nodes shows here
-        assert (rows, nodes) == (194, 4_835)
+        assert (rows, nodes) == (194, 4_440)
 
     @staticmethod
     def assert_nonisomorphic_optima(weights, value):
@@ -435,32 +539,36 @@ class TestClimb:
     def test_nodes_sum_over_levels(self):
         # each level counts its own nodes, not those of the levels it hands
         # graphs to; together with the seed's they make up every node, also
-        # when the budget stops the search
+        # when the budget stops the search.  stats["duplicates"] counts the
+        # extension searches each level skipped as isomorphic to an earlier one
         out = S.max_product_search(7, 4, 15)
-        assert out.stats["levels"] == {"two_weight": 59, 4: 217, 5: 108, 6: 352, 7: 395}
-        assert sum(out.stats["levels"].values()) == out.stats["nodes"] == 1_131
-        assert "levels" not in S.cache_record(7, 4, 15, out)["stats"]
+        assert out.stats["levels"] == {"two_weight": 59, 4: 217, 5: 108, 6: 196, 7: 55}
+        assert sum(out.stats["levels"].values()) == out.stats["nodes"] == 635
+        assert out.stats["duplicates"] == {6: 6, 7: 9}
+        record = S.cache_record(7, 4, 15, out)["stats"]
+        assert "levels" not in record and "duplicates" not in record
         out = S.max_sum_search(7, 5, 13, node_budget=20_000)
-        assert out.stats["levels"] == {5: 10_059, 6: 7_482, 7: 2_460}
+        assert out.stats["levels"] == {5: 10_649, 6: 8_369, 7: 983}
         assert sum(out.stats["levels"].values()) == out.stats["nodes"] == 20_001
+        assert out.stats["duplicates"] == {7: 347}
 
     @pytest.mark.parametrize(
         "budget,levels",
         [
             (50, {"two_weight": 51}),
             (160, {"two_weight": 59, 4: 65, 5: 25, 6: 12}),
-            (245, {"two_weight": 59, 4: 91, 5: 65, 6: 31}),
-            (270, {"two_weight": 59, 4: 91, 5: 73, 6: 48}),
+            (245, {"two_weight": 59, 4: 91, 5: 72, 6: 24}),
+            (255, {"two_weight": 59, 4: 91, 5: 73, 6: 33}),
         ],
-        ids=["50", "160", "245", "270"],
+        ids=["50", "160", "245", "255"],
     )
     def test_budget_bound_in_every_phase(self, budget, levels):
-        # (6,4,15) takes 403 nodes: 1-59 search the two-weight seed, and the
+        # (6,4,15) takes 396 nodes: 1-59 search the two-weight seed, and the
         # collect runs its 4-vertex base in the rest, save 82-88, 114-125,
-        # 138-143, 172-178, 186-191, 202-218, 231-236, 243-254 and 272-277
-        # where it extends to 5 vertices, and 126-137, 179-185, 219-230 and
-        # 255-271 within those, where it extends to 6; so 50, 160, 245 and 270
-        # stop the seed, the base, a 5-vertex and a 6-vertex extension
+        # 138-143, 172-184, 195-211, 224-229, 236-247 and 265-270 where it
+        # extends to 5 vertices, and 126-137, 212-223 and 248-264 within
+        # those, where it extends to 6; so 50, 160, 245 and 255 stop the seed,
+        # the base, a 5-vertex and a 6-vertex extension
         out = S.max_product_search(6, 4, 15, node_budget=budget)
         assert not out.optimal
         assert out.stats["nodes"] == budget + 1
@@ -470,26 +578,45 @@ class TestClimb:
         assert out.witness.edge_product() == out.value <= 419_904
 
     @pytest.mark.parametrize(
-        "n,s,q,value,nodes,over",
+        "n,s,q,nodes,over",
         [
-            pytest.param(9, 6, 41, 1_735_247_072_139_264, 70_425, Fraction(4, 3), marks=pytest.mark.slow),
-            (9, 4, 15, 12_694_994_583_552, 4_124, 1),
-            (10, 4, 15, 21_936_950_640_377_856, 10_277, 1),
-            (11, 4, 15, 75_814_101_413_145_870_336, 15_779, 1),
-            pytest.param(10, 6, 41, 7_589_970_693_537_140_736, 240_925, 1, marks=pytest.mark.slow),
-            pytest.param(9, 8, 79, 8_784_688_302_705_024, 444_787, 1, marks=pytest.mark.slow),
+            pytest.param(9, 6, 41, 61_747, Fraction(4, 3), marks=pytest.mark.slow),
+            (9, 4, 15, 1_105, 1),
+            (10, 4, 15, 1_254, 1),
+            (11, 4, 15, 1_852, 1),
+            (12, 4, 15, 4_000, 1),
+            (13, 4, 15, 4_351, 1),
+            (11, 4, 21, 3_656, 1),
+            pytest.param(10, 6, 41, 164_021, 1, marks=pytest.mark.slow),
+            pytest.param(11, 6, 41, 323_657, 1, marks=pytest.mark.slow),
+            pytest.param(12, 6, 41, 377_030, 1, marks=pytest.mark.slow),
+            pytest.param(9, 8, 79, 444_787, 1, marks=pytest.mark.slow),
         ],
     )
-    def test_frontier(self, n, s, q, value, nodes, over):
+    def test_frontier(self, n, s, q, nodes, over):
         # exact within the default budget, seed nodes included (the direct
         # search needs 1,551,932 nodes for (9,4,15)); `over` is the optimum
         # over the construction's value: (2,3,1) beats the construction at
-        # n = 9 and meets it at 10, and (2,4,1), the paper's r = 4 point, meets
-        # it at 9
+        # n = 9 and meets it from 10 on, and (2,4,1), the paper's r = 4 point,
+        # meets it at 9
         out = S.max_product_search(n, s, q)
+        value = EXACT_RUNGS[s, q][n]
         assert (out.value, out.optimal, out.stats["nodes"]) == (value, True, nodes)
-        params = {(4, 15): Params(2, 2, 1), (6, 41): Params(2, 3, 1), (8, 79): Params(2, 4, 1)}[s, q]
+        params = {(4, 15): Params(2, 2, 1), (4, 21): Params(3, 2, 1), (6, 41): Params(2, 3, 1),
+                  (8, 79): Params(2, 4, 1)}[s, q]
         assert value == over * C.max_edge_product(params, n).value
+
+    def test_katona_chain_between_exact_rungs(self):
+        # ex(n)**(n-2) <= ex(n-1)**n on each pair of consecutive exact rungs
+        # (each of the n induced (n-1)-vertex subgraphs is an (s,q)-graph, and
+        # each pair lies in n-2 of them): a law independent of how each value was found
+        pairs = 0
+        for rungs in EXACT_RUNGS.values():
+            for n, ex in rungs.items():
+                if n - 1 in rungs:
+                    assert ex ** (n - 2) <= rungs[n - 1] ** n, n
+                    pairs += 1
+        assert pairs == 15
 
 
 class TestTwoWeightSeed:
@@ -511,7 +638,7 @@ class TestTwoWeightSeed:
 
     @pytest.mark.parametrize(
         "n,ex,nodes",
-        [(7, 918_330_048, 176), (8, 892_616_806_656, 228), (9, 1_735_247_072_139_264, 944)],
+        [(7, 918_330_048, 176), (8, 892_616_806_656, 228), (9, 1_735_247_072_139_264, 680)],
     )
     def test_meets_the_optimum_at_six_forty_one(self, n, ex, nodes):
         # (2,3,1): from the constant graph 2*K_n, the best two-weight graph is
@@ -778,7 +905,7 @@ class TestEngineContracts:
                 )
 
     def test_budget_bound_flagged_not_wrong(self):
-        # (6,4,15) takes 403 nodes, the two-weight seed's 59 first, so 50 stops it
+        # (6,4,15) takes 396 nodes, the two-weight seed's 59 first, so 50 stops it
         out = S.max_product_search(6, 4, 15, node_budget=50)
         assert not out.optimal
         assert out.witness.satisfies(4, 15)

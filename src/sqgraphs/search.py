@@ -204,14 +204,19 @@ def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
     """Per depth k of the rank-order search, with X indexing the s-sets
     combinations(range(n), s) in order: open_sets[k] holds (X, getter of X's
     pairs >= k) for each X with >= 2 of them; later[k] holds (X, X's pairs > k)
-    for each X on pair k."""
-    ssets = [sorted(pair_rank(u, v) for u, v in combinations(X, 2)) for X in combinations(range(n), s)]
-    open_sets, later = [], []
-    for k in range(n * (n - 1) // 2):
-        tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
-        open_sets.append(tuple((X, itemgetter(*prs)) for X, prs in tails if len(prs) >= 2))
-        later.append(tuple((X, prs[1:]) for X, prs in tails if prs and prs[0] == k))
-    return tuple(open_sets), tuple(later)
+    for each X on pair k.  X's pairs >= k are prs[i:] for every k with
+    prs[i-1] < k <= prs[i], so each X is walked once, in ascending order."""
+    P = n * (n - 1) // 2
+    open_sets, later = [[] for _ in range(P)], [[] for _ in range(P)]
+    for X, Y in enumerate(combinations(range(n), s)):
+        prs = sorted(pair_rank(u, v) for u, v in combinations(Y, 2))
+        for i, e in enumerate(prs):
+            later[e].append((X, tuple(prs[i + 1 :])))
+            if len(prs) - i >= 2:
+                get = itemgetter(*prs[i:])
+                for k in range(prs[i - 1] + 1 if i else 0, e + 1):
+                    open_sets[k].append((X, get))
+    return tuple(map(tuple, open_sets)), tuple(map(tuple, later))
 
 
 def _seed_witnesses(n: int, s: int, q: int, mode: str) -> Iterator[Multigraph]:
@@ -544,6 +549,10 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     _validate(n, s, q)
     P = n * (n - 1) // 2
     open_sets, later = _depth_tables(n, s)
+    # last is the depth whose children are all leaves (open_sets[last + 1] is
+    # empty): P - 2 once s >= 3, as {n-3, n-2, n-1} holds pairs P - 2 and P - 1.
+    last = max((k for k in range(P) if open_sets[k]), default=-1)
+    shared = [(e, [X for X, prs in later[last] if e in prs]) for e in range(last + 1, P)]
     nodes = 0
 
     # rem[X] is one more than what s-set X may still add, so choices[e], the
@@ -554,7 +563,7 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     # product of their choices.
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
         nonlocal nodes
-        nodes += 1
+        nodes += 1 if k != last else 1 + choices[k]
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"count({n},{s},{q}) exceeded the node budget of {node_budget}"
@@ -563,6 +572,20 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
             return prod(choices[k:])
         total = 0
         for w in range(choices[k]):
+            if k == last:
+                # Child w is a leaf, counted above as one node, and counts
+                # the product of its choices past k.  It sets rem[X] - w on
+                # each X in later[k] and nothing else, so pair e > k has the
+                # least of choices[e] and rem[X] - w over X on k and e (shared).
+                leaf = 1
+                for e, Xs in shared:
+                    c = choices[e]
+                    for X in Xs:
+                        if rem[X] - w < c:
+                            c = rem[X] - w
+                    leaf *= c
+                total += leaf
+                continue
             child, crem = choices[:], rem[:]
             for X, prs in later[k]:
                 r = crem[X] = rem[X] - w
@@ -749,8 +772,9 @@ def load_cache(path: str) -> dict[tuple, dict]:
     """Latest record per key, keeping only this engine version.
 
     The file is untrusted input: a line that is not JSON or lacks the key
-    fields (a torn last write, a hand edit, bytes that are not UTF-8) is
-    skipped, and one CacheWarning reports how many were.
+    fields (a torn last write, a hand edit, bytes that are not UTF-8, arrays
+    nested too deep to parse) is skipped, and one CacheWarning reports how
+    many were.
     """
     out: dict[tuple, dict] = {}
     skipped = 0
@@ -769,7 +793,7 @@ def load_cache(path: str) -> dict[tuple, dict]:
                     continue
                 key = rec["key"]
                 out[(key["n"], key["s"], key["q"], key["mode"])] = rec
-            except (ValueError, KeyError, TypeError, AttributeError):
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
                 skipped += 1
     if skipped:
         warnings.warn(

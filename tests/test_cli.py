@@ -139,6 +139,17 @@ class TestSearchCommands:
         warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
         assert len(warnings) == 1 and "skipped 1 malformed" in warnings[0]
 
+    def test_cache_deeply_nested_line_warns(self, capsys, tmp_path):
+        # json.loads raises RecursionError on it; the run searches and warns
+        cache = str(tmp_path / "cache.jsonl")
+        with open(cache, "w") as fh:
+            fh.write("[" * 200_000 + "\n")
+        code, out, err = run(capsys, "expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))
+        assert code == EXIT_OK
+        assert record_fields(out)["value"] == "216"
+        warnings = [ln for ln in err.splitlines() if ln.startswith("warning:")]
+        assert len(warnings) == 1 and "skipped 1 malformed" in warnings[0]
+
     def test_cache_edited_value_is_searched_again(self, capsys, tmp_path):
         cache = str(tmp_path / "cache.jsonl")
         argv = ("expi", "4", "4", "15", "--cache", cache, "--out", str(tmp_path))

@@ -9,6 +9,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, permutations, product
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -232,6 +233,34 @@ class TestDepthTables:
                     assert [(X, get(ranks)) for X, get in open_sets[k]] == [
                         (X, tail) for X, tail in tails if len(tail) >= 2
                     ], (n, s, k)
+
+    def test_tables_equal_the_per_depth_construction(self):
+        # reference: scan every s-set's pairs again at each depth k; the
+        # per-s-set build must give the same tables, with X in the same order
+        def per_depth(n, s):
+            ssets = [
+                sorted(pair_rank(u, v) for u, v in combinations(X, 2))
+                for X in combinations(range(n), s)
+            ]
+            open_sets, later = [], []
+            for k in range(n * (n - 1) // 2):
+                tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
+                open_sets.append(
+                    tuple((X, itemgetter(*prs)) for X, prs in tails if len(prs) >= 2)
+                )
+                later.append(tuple((X, prs[1:]) for X, prs in tails if prs and prs[0] == k))
+            return tuple(open_sets), tuple(later)
+
+        rng = random.Random(32)
+        for n in range(2, 10):
+            vec = [rng.randrange(10**6) for _ in range(n * (n - 1) // 2)]
+            for s in range(2, n + 1):
+                want_open, want_later = per_depth(n, s)
+                open_sets, later = S._depth_tables(n, s)
+                assert later == want_later, (n, s)
+                assert [[(X, get(vec)) for X, get in row] for row in open_sets] == [
+                    [(X, get(vec)) for X, get in row] for row in want_open
+                ], (n, s)
 
 
 class TestLexLeader:
@@ -689,6 +718,46 @@ class TestCounting:
         with pytest.raises(S.BudgetExceededError):
             S.count_graphs(5, 4, 9, node_budget=271_068)
 
+    @staticmethod
+    def one_call_per_node(n, s, q):
+        """count_graphs' recursion with no leaf counted in place: one dfs
+        call per tree node, leaves included.  Returns (count, nodes)."""
+        open_sets, later = S._depth_tables(n, s)
+        nodes = 0
+
+        def dfs(k, choices, rem):
+            nonlocal nodes
+            nodes += 1
+            if not open_sets[k]:
+                return math.prod(choices[k:])
+            total = 0
+            for w in range(choices[k]):
+                child, crem = choices[:], rem[:]
+                for X, prs in later[k]:
+                    r = crem[X] = rem[X] - w
+                    for e in prs:
+                        if r < child[e]:
+                            child[e] = r
+                total += dfs(k + 1, child, crem)
+            return total
+
+        return dfs(0, [q + 1] * math.comb(n, 2), [q + 1] * math.comb(n, s)), nodes
+
+    def test_leaves_counted_in_place_keep_one_node_per_tree_node(self):
+        # each (n, s) climbs q until the reference passes 20,000 nodes
+        rows = 0
+        for n in range(2, 7):
+            for s in sorted({2, min(3, n), n}):
+                for q in range(13):
+                    value, nodes = self.one_call_per_node(n, s, q)
+                    assert S.count_graphs(n, s, q, node_budget=nodes) == value, (n, s, q)
+                    with pytest.raises(S.BudgetExceededError):
+                        S.count_graphs(n, s, q, node_budget=nodes - 1)
+                    rows += 1
+                    if nodes > 20_000:
+                        break
+        assert rows == 127
+
 
 class TestOracle:
     def test_cap_at_bound_reproduces_small_values(self):
@@ -1016,6 +1085,19 @@ class TestCache:
             fh.write(b"\xff\xfe garbage\n")
         with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
             assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+
+    def test_deeply_nested_line_is_skipped(self, tmp_path):
+        # json.loads raises RecursionError, not ValueError, on deep nesting
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        with open(path, "a") as fh:
+            fh.write("[" * 200_000 + "\n")
+        S.append_cache(path, S.cache_record(3, 2, 5, S.max_sum_search(3, 2, 5)))
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 5, "sum") is not None
 
     def test_record_without_key_fields_is_skipped(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")

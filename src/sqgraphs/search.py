@@ -11,6 +11,7 @@ precision throughout.
 from __future__ import annotations
 
 import json
+import re
 import time
 import warnings
 from collections.abc import Callable, Iterator, Sequence
@@ -419,9 +420,14 @@ def _collect(
         _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
         return
 
+    last = (None, 0)  # (T, T2) at the last call: T moves only with the incumbent
+
     def least_below() -> int:  # T2 of T = least()
+        nonlocal last
         T = least()
-        return _iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m)
+        if T != last[0]:
+            last = T, (_iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m))
+        return last[1]
 
     seen, level = set(), m if cap is None else "two_weight"
     duplicates = stats.setdefault("duplicates", {})
@@ -768,38 +774,58 @@ def append_cache(path: str, record: dict) -> None:
         fh.flush()
 
 
-def load_cache(path: str) -> dict[tuple, dict]:
-    """Latest record per key, keeping only this engine version.
+# The head of a line as append_cache writes it, compact with sorted fields:
+# engine_version, then the key, each field in its one canonical spelling.
+_CACHE_HEAD = re.compile(
+    r'\{"engine_version":' + re.escape(json.dumps(ENGINE_VERSION)) + r',"key":\{"mode":"(product|sum)",'
+    r'"n":(0|[1-9][0-9]*),"q":(0|[1-9][0-9]*),"s":(0|[1-9][0-9]*)\}'
+)
 
-    The file is untrusted input: a line that is not JSON or lacks the key
-    fields (a torn last write, a hand edit, bytes that are not UTF-8, arrays
-    nested too deep to parse) is skipped, and one CacheWarning reports how
-    many were.
+
+def load_cache(path: str, key: tuple[int, int, int, str]) -> dict | None:
+    """The latest record of key = (n, s, q, mode) at this engine version,
+    or None.
+
+    A line that opens with another key's _CACHE_HEAD is skipped unparsed.
+    Every other line is parsed, and its record is used only if its decoded
+    key equals the wanted one.  The file is untrusted input: a parsed line that is not
+    JSON or lacks the key fields (a torn last write, a hand edit, bytes that
+    are not UTF-8, arrays nested too deep to parse) is skipped, and one
+    CacheWarning reports how many were.  So the warning counts the
+    malformed lines this lookup read: a line damaged after an intact head
+    of another key is reported by that key's lookup.  A line that repeats
+    "key" is skipped when its first key is another key's head.  No value
+    depends on this: a cached witness only seeds a search (cached_outcome).
     """
+    n, s, q, mode = key
+    own = (mode, str(n), str(q), str(s))  # the key's _CACHE_HEAD groups
     out: dict[tuple, dict] = {}
     skipped = 0
     try:
         fh = open(path, "r", encoding="utf-8", errors="replace")
     except FileNotFoundError:
-        return out
+        return None
     with fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
+            head = _CACHE_HEAD.match(line)
+            if head and head.groups() != own:
+                continue
             try:
                 rec = json.loads(line)
                 if rec.get("engine_version") != ENGINE_VERSION:
                     continue
-                key = rec["key"]
-                out[(key["n"], key["s"], key["q"], key["mode"])] = rec
+                k = rec["key"]
+                out[(k["n"], k["s"], k["q"], k["mode"])] = rec
             except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
                 skipped += 1
     if skipped:
         warnings.warn(
             f"skipped {skipped} malformed line(s) in cache {path}", CacheWarning, stacklevel=2
         )
-    return out
+    return out.get(key)
 
 
 def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> Multigraph | None:
@@ -809,8 +835,10 @@ def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> Multigraph |
     stored value; anything else is a miss.  It proves only that the value
     is attained, so it serves as the search's first seed (see _run_search),
     never as an optimum: the record's "optimal" and "stats" are not read.
+    One load_cache call finds the record, parsing only the lines that can
+    hold the key.
     """
-    rec = load_cache(path).get((n, s, q, mode))
+    rec = load_cache(path, (n, s, q, mode))
     if rec is None:
         return None
     try:

@@ -1011,6 +1011,12 @@ class TestSeed:
             engine(4, 4, 15, seed=seed)
 
 
+def canonical_line(n: int, s: int, q: int, mode: str = "sum") -> str:
+    """The line append_cache writes for a witness-less record of the key."""
+    rec = S.cache_record(n, s, q, S.SearchOutcome(mode, 7, None, True, {}))
+    return json.dumps(rec, separators=(",", ":"), sort_keys=True)
+
+
 class TestCache:
     def test_round_trip_and_short_circuit(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -1105,7 +1111,7 @@ class TestCache:
         del rec["key"]["q"]
         S.append_cache(path, rec)
         with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
-            assert S.load_cache(path) == {}
+            assert S.load_cache(path, (3, 2, 4, "sum")) is None
 
     def test_edited_value_is_a_miss(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -1145,7 +1151,7 @@ class TestCache:
         S.append_cache(path, S.cache_record(3, 2, 4, S.max_sum_search(3, 2, 4)))
         with open(path, "a") as fh:
             fh.write(" \t \n\n")
-        assert list(S.load_cache(path)) == [(3, 2, 4, "sum")]
+        assert S.load_cache(path, (3, 2, 4, "sum"))["key"] == {"n": 3, "s": 2, "q": 4, "mode": "sum"}
         assert not [w for w in recwarn if issubclass(w.category, S.CacheWarning)]
 
     def test_latest_record_wins(self, tmp_path):
@@ -1156,3 +1162,92 @@ class TestCache:
         S.append_cache(path, stale)
         S.append_cache(path, S.cache_record(3, 2, 4, out))
         assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+
+    # load_cache parses only the lines that can hold its key: a line that
+    # opens with another key's head, as append_cache writes it, is skipped
+
+    def test_damaged_line_of_the_key_is_counted(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        with open(path, "a") as fh:
+            fh.write(canonical_line(3, 2, 4)[:-5] + "\n")
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+
+    def test_damaged_line_of_another_key_is_counted_by_its_own_lookup(self, tmp_path, recwarn):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        damaged = canonical_line(3, 2, 5)[:-5]
+        assert S._CACHE_HEAD.match(damaged)  # the head is intact
+        with open(path, "a") as fh:
+            fh.write(damaged + "\n")
+        assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+        assert not [w for w in recwarn if issubclass(w.category, S.CacheWarning)]
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 5, "sum") is None
+
+    def test_hand_formatted_record_is_found(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        rec = S.cache_record(3, 2, 4, out)
+        rec["key"] = {"s": 2, "q": 4, "mode": "sum", "n": 3}
+        with open(path, "w") as fh:
+            fh.write(canonical_line(3, 2, 5) + "\n" + json.dumps(rec) + "\n")
+        assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+
+    @pytest.mark.parametrize("spelling, found", [("3.0", True), ("03", False)])
+    def test_other_number_spellings_are_parsed(self, tmp_path, recwarn, spelling, found):
+        # JSON reads 3.0 as a key equal to 3, and rejects 03; neither is
+        # append_cache's spelling, so the head pattern leaves both to json
+        path = str(tmp_path / "cache.jsonl")
+        line = canonical_line(3, 2, 4).replace('"n":3,', f'"n":{spelling},')
+        assert not S._CACHE_HEAD.match(line)
+        with open(path, "w") as fh:
+            fh.write(line + "\n")
+        assert (S.load_cache(path, (3, 2, 4, "sum")) is not None) is found
+        assert S.load_cache(path, (3, 2, 5, "sum")) is None
+        malformed = [w for w in recwarn if issubclass(w.category, S.CacheWarning)]
+        assert len(malformed) == (0 if found else 2)
+
+    def test_unhashable_key_field_is_malformed(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        with open(path, "w") as fh:
+            fh.write(canonical_line(3, 2, 4).replace('"n":3,', '"n":[1],') + "\n")
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.load_cache(path, (3, 2, 4, "sum")) is None
+
+    def test_latest_record_wins_across_layouts(self, tmp_path):
+        path = str(tmp_path / "cache.jsonl")
+        out = S.max_sum_search(3, 2, 4)
+        good = S.cache_record(3, 2, 4, out)
+        stale = dict(good, value="999")
+        for rec, hand in [(stale, False), (good, True), (stale, True), (good, False)]:
+            if hand:
+                with open(path, "a") as fh:
+                    fh.write(json.dumps(rec) + "\n")
+            else:
+                S.append_cache(path, rec)
+            S.append_cache(path, S.cache_record(3, 2, 5, out))
+            assert S.load_cache(path, (3, 2, 4, "sum"))["value"] == rec["value"]
+            assert (S.cached_outcome(path, 3, 2, 4, "sum") == out.witness) is (rec is good)
+
+    def test_lookup_parses_only_its_own_lines(self, tmp_path, monkeypatch):
+        # 300 canonical records of other keys, many sharing fields with the
+        # key, and two of its own: the lookup decodes exactly those two
+        path = str(tmp_path / "cache.jsonl")
+        keys = product((2, 3, 4), (2, 3), range(26), ("sum", "product"))
+        others = [k for k in keys if k != (3, 2, 4, "sum")][:300]
+        assert len(others) == 300
+        out = S.max_sum_search(3, 2, 4)
+        for i, key in enumerate(others):
+            with open(path, "a") as fh:
+                fh.write(canonical_line(*key) + "\n")
+            if i in (100, 200):
+                S.append_cache(path, S.cache_record(3, 2, 4, out))
+        calls = []
+        loads = json.loads
+        monkeypatch.setattr(S.json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
+        assert S.load_cache(path, (3, 2, 4, "sum"))["value"] == str(out.value)
+        assert len(calls) == 2

@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, combinations
-from math import comb, prod
+from math import comb, inf, prod
 from operator import itemgetter
 
 import numpy as np
@@ -555,10 +555,18 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     _validate(n, s, q)
     P = n * (n - 1) // 2
     open_sets, later = _depth_tables(n, s)
-    # last is the depth whose children are all leaves (open_sets[last + 1] is
-    # empty): P - 2 once s >= 3, as {n-3, n-2, n-1} holds pairs P - 2 and P - 1.
-    last = max((k for k in range(P) if open_sets[k]), default=-1)
-    shared = [(e, [X for X, prs in later[last] if e in prs]) for e in range(last + 1, P)]
+    # Once s >= 3 every depth up to P - 2 branches ({n-3, n-2, n-1} holds
+    # pairs P - 2 and P - 1), and the node at depth fold = P - 3 counts its
+    # subtree from the least rem on fold and P - 2, on fold and P - 1, on all
+    # three, and on P - 2 and P - 1 only (a getter lists its s-sets twice, so
+    # one s-set gives a tuple; an empty group, at s = 3 or s = n, reads inf).
+    fold, lows = -1, []
+    if s >= 3:
+        fold, on_fold = P - 3, dict(later[P - 3])
+        both = [X for X, prs in later[P - 2] if prs]
+        groups = [[X for X, prs in on_fold.items() if e in prs] for e in (P - 2, P - 1)]
+        groups += [[X for X in both if X in on_fold], [X for X in both if X not in on_fold]]
+        lows = [itemgetter(*Xs, *Xs) if Xs else None for Xs in groups]
     nodes = 0
 
     # rem[X] is one more than what s-set X may still add, so choices[e], the
@@ -569,29 +577,37 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     # product of their choices.
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
         nonlocal nodes
-        nodes += 1 if k != last else 1 + choices[k]
+        nodes += 1
+        if k == fold:
+            # Child w of the fold lowers each s-set X on fold to rem[X] - w, so
+            # its pair P - 2 has c choices and P - 1 has a, and its child w' is
+            # a leaf with min(a, m - w') choices, m the child's least rem over
+            # the s-sets on P - 2 and P - 1.  Each rem bounds the choices of
+            # its s-set's open pairs, so c <= m and a <= m: the leaves have a
+            # choices while w' <= m - a, and the last d = c + a - m - 1 (if
+            # d > 0) have a - 1, ..., a - d.  The child is 1 + c nodes; the
+            # node total only grows, so one budget check per fold raises
+            # exactly when one check per node would.
+            total = 0
+            r2, r1, r3, r0 = [min(get(rem)) if get else inf for get in lows]
+            c2, c1 = choices[P - 2], choices[P - 1]
+            for w in range(choices[k]):
+                c = r2 - w if r2 - w < c2 else c2
+                a = r1 - w if r1 - w < c1 else c1
+                m = r3 - w if r3 - w < r0 else r0
+                d = c + a - m - 1
+                nodes += 1 + c
+                total += c * a - d * (d + 1) // 2 if d > 0 else c * a
         if nodes > node_budget:
             raise BudgetExceededError(
                 f"count({n},{s},{q}) exceeded the node budget of {node_budget}"
             )
+        if k == fold:
+            return total
         if not open_sets[k]:
             return prod(choices[k:])
         total = 0
         for w in range(choices[k]):
-            if k == last:
-                # Child w is a leaf, counted above as one node, and counts
-                # the product of its choices past k.  It sets rem[X] - w on
-                # each X in later[k] and nothing else, so pair e > k has the
-                # least of choices[e] and rem[X] - w over X on k and e (shared).
-                leaf = 1
-                for e, Xs in shared:
-                    c = choices[e]
-                    for X in Xs:
-                        if rem[X] - w < c:
-                            c = rem[X] - w
-                    leaf *= c
-                total += leaf
-                continue
             child, crem = choices[:], rem[:]
             for X, prs in later[k]:
                 r = crem[X] = rem[X] - w

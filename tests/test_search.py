@@ -758,6 +758,29 @@ class TestCounting:
                         break
         assert rows == 127
 
+    def test_fold_keeps_one_node_per_tree_node_for_every_s(self):
+        # the node at depth P-3 counts its children and their leaves in place;
+        # each (n, s) climbs q until the reference passes 20,000 nodes
+        rows = 0
+        for n in range(3, 8):
+            for s in range(3, n + 1):
+                nodes, q = 0, 0
+                while nodes <= 20_000:
+                    value, nodes = self.one_call_per_node(n, s, q)
+                    assert S.count_graphs(n, s, q, node_budget=nodes) == value, (n, s, q)
+                    with pytest.raises(S.BudgetExceededError):
+                        S.count_graphs(n, s, q, node_budget=nodes - 1)
+                    rows, q = rows + 1, q + 1
+        assert rows == 290
+
+    @pytest.mark.slow
+    def test_deepest_pinned_count_is_node_exact(self):
+        # (6,4,8), next to the paper's counting point (6,4,9), takes 22,622,784
+        # nodes with one call per node (more than the default budget)
+        assert S.count_graphs(6, 4, 8, node_budget=22_622_784) == 29_598_215
+        with pytest.raises(S.BudgetExceededError):
+            S.count_graphs(6, 4, 8, node_budget=22_622_783)
+
 
 class TestOracle:
     def test_cap_at_bound_reproduces_small_values(self):

@@ -14,6 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -27,14 +28,28 @@ def pair_rank(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
+# The most cells, C(n,s) * C(n,2), of a table over the s-sets of n vertices (here
+# and in search._depth_tables, at 56-163 bytes a cell); expi 17 4 15 has 323,680.
+MAX_TABLE_CELLS = 5_000_000
+
+
+def check_table(n: int, s: int) -> None:
+    """Refuse an s outside 2..n, or an s-set table over MAX_TABLE_CELLS cells,
+    before any is built; C(n,s) is computed only once C(n,2) is within it."""
+    if not 2 <= s <= n:
+        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_TABLE_CELLS or comb(n, s) * pairs > MAX_TABLE_CELLS:
+        raise ValueError(f"the {s}-sets of {n} vertices need a table of over {MAX_TABLE_CELLS} cells")
+
+
 @lru_cache(maxsize=None)
 def _s_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
     """Every s-set of 0..n-1 in `combinations` order, with a getter for the
     weights of its pairs.  Built from `combinations` and `pair_rank` only,
     so the sparsity check shares no code with the search it verifies.
     """
-    if not 2 <= s <= n:
-        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    check_table(n, s)
     table = []
     for xs in combinations(range(n), s):
         ranks = [pair_rank(u, v) for u, v in combinations(xs, 2)]

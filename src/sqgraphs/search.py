@@ -25,7 +25,7 @@ import numpy as np
 
 from .constructions import max_edge_product, max_edge_sum, turan_multigraph
 from .formulas import _amgm
-from .multigraph import Multigraph, Params, pair_rank
+from .multigraph import MAX_TABLE_CELLS, Multigraph, Params, check_table, pair_rank
 
 ENGINE_VERSION = "1"
 
@@ -66,10 +66,7 @@ class SearchOutcome:
 
 
 def _validate(n: int, s: int, q: int) -> None:
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 2 <= s <= n:
-        raise ValueError(f"need 2 <= s <= n, got s={s}, n={n}")
+    check_table(n, s)  # also n >= 2
     if q < 0:
         raise ValueError(f"need q >= 0, got {q}")
 
@@ -272,12 +269,13 @@ def _certified(G: Multigraph, n: int, s: int, q: int, mode: str, value: int) -> 
 
 
 def _tree_search(
-    n: int, s: int, q: int, product: bool, budget: int, stats: dict, floor: int,
+    n: int, s: int, q: int, product: bool, budget: int, stats: dict, least: Callable[[], int],
     leaf: Callable, prefix: Sequence[int] = (), cap: int | None = None,
 ) -> None:
-    """Branch-and-bound over the pairs after `prefix`.  Each leaf heavier
-    than `floor` goes to leaf(value, W), which returns the new floor or
-    raises _Stop; the bounds prune only subtrees with no leaf above it.
+    """Branch-and-bound over the pairs after `prefix`.  Each leaf of value
+    at least least() goes to leaf(value, W), which may record it, extend it
+    or raise _Stop; the floor least() - 1 is read at the start and after
+    each leaf, and the bounds prune only subtrees with no leaf above it.
     With a prefix (the weights of an (n-1)-vertex graph H, in any labeling)
     the search runs over the graphs whose vertices 0..n-2 induce H, with no
     lex-leader test (see _collect).  A cap bounds every weight, through the
@@ -330,6 +328,7 @@ def _tree_search(
     state = [top if cap is None else min(cap, top)] * P, [q] * S, [_amgm(q, spairs)] * S
     for k in range(K):  # the prefix's pairs, set as dfs sets them
         state = step(k, W[k], *state)[:3]
+    floor = least() - 1
 
     def prune_by_bound(k: int, acc: int, katona: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
         ubs = ub[k:]
@@ -365,7 +364,8 @@ def _tree_search(
         nonlocal floor
         if k == P:
             if acc > floor:
-                floor = leaf(acc, W)
+                leaf(acc, W)
+                floor = least() - 1
             return
         if prune_by_bound(k, acc, katona, ub, rem, am):
             stats["bound_prunes"] += 1
@@ -392,21 +392,21 @@ def _tree_search(
 
 
 def _collect(
-    m: int, s: int, q: int, budget: int, stats: dict, least: Callable[[], int], leaf: Callable,
-    product: bool, cap: int | None = None,
+    m: int, s: int, q: int, product: bool, budget: int, stats: dict, least: Callable[[], int],
+    leaf: Callable, cap: int | None = None,
 ) -> None:
     """Hand leaf(value, W) a labeling of each m-vertex (s,q)-graph H whose
-    edge product (or sum) is at least least(); least() only grows, and leaf
-    returns the new floor.
+    edge product (or sum) is at least least(), which only grows.
 
     Lemma: each pair of H lies in m-2 of its m induced subgraphs H-v, so
     the product over v of P(H-v) is P(H)**(m-2), and the sum over v of
     e(H-v) is (m-2)*e(H).  So some v has P(H-v) >= T2, the least T2 with
     T2**m >= T**(m-2), or e(H-v) >= T2 = ceil((m-2)*T/m), where T = least().
-    At m = s a search at floor least()-1 reaches H's lex-max labeling (see
+    At m = s a search from least() reaches H's lex-max labeling (see
     _lex_leader; the bounds prune no leaf above the floor).  Above s, H is
-    a collected H-v plus a vertex v, put last; grow extends H-v at floor
-    least()-1 and returns T2 - 1, so every floor rises with least().
+    a collected H-v plus a vertex v, put last: the level below collects
+    from T2, and grow extends H-v from least(), so every floor rises with
+    least().
     Extensions skip the lex-leader tests, which could reject every labeling
     of H that extends H-v, so H may come in several labelings.  grow
     extends one H-v per class (by _canonical_form) and counts the rest in
@@ -417,45 +417,37 @@ def _collect(
     are closed under induced subgraphs.
     """
     if m == s:
-        _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
+        _tree_search(m, s, q, product, budget, stats, least, leaf, cap=cap)
         return
 
-    last = (None, 0)  # (T, T2) at the last call: T moves only with the incumbent
-
-    def least_below() -> int:  # T2 of T = least()
-        nonlocal last
-        T = least()
-        if T != last[0]:
-            last = T, (_iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m))
-        return last[1]
+    @lru_cache(maxsize=1)  # least() moves only with the incumbent
+    def below(T: int) -> int:  # T2 of T
+        return _iroot(T ** (m - 2) - 1, m) + 1 if product else -(-(m - 2) * T // m)
 
     seen, level = set(), m if cap is None else "two_weight"
     duplicates = stats.setdefault("duplicates", {})
 
-    def grow(value: int, H: Sequence[int]) -> int:
+    def grow(value: int, H: Sequence[int]) -> None:
         form = _canonical_form(H, m - 1)
         if form in seen:
             duplicates[level] = duplicates.get(level, 0) + 1
         else:
             seen.add(form)
-            _tree_search(m, s, q, product, budget, stats, least() - 1, leaf, H, cap)
-        return least_below() - 1
+            _tree_search(m, s, q, product, budget, stats, least, leaf, H, cap)
 
-    _collect(m - 1, s, q, budget, stats, least_below, grow, product, cap)
+    _collect(m - 1, s, q, product, budget, stats, lambda: below(least()), grow, cap)
 
 
 def _search(
     n: int, s: int, q: int, product: bool, budget: int, stats: dict, least: Callable[[], int],
     leaf: Callable, cap: int | None = None,
 ) -> None:
-    """Hand leaf every n-vertex graph above least() - 1, as _collect does:
-    products on n >= s+1 vertices and sums on n >= s+2 by _collect, the
-    rest by one direct search (at n = s+1 a sum collect took more nodes
+    """Hand leaf every n-vertex graph of value at least least(), as _collect
+    does: products on n >= s+1 vertices and sums on n >= s+2 by _collect,
+    the rest by one direct search (at n = s+1 a sum collect took more nodes
     on the grid and lost values at budget 3,000)."""
-    if n >= s + 1 + (not product):
-        _collect(n, s, q, budget, stats, least, leaf, product, cap)
-    else:
-        _tree_search(n, s, q, product, budget, stats, least() - 1, leaf, cap=cap)
+    search = _collect if n >= s + 1 + (not product) else _tree_search
+    search(n, s, q, product, budget, stats, least, leaf, cap=cap)
 
 
 def _two_weight_seed(n: int, s: int, q: int, budget: int, stats: dict, inc: list, record: Callable) -> None:
@@ -476,11 +468,10 @@ def _two_weight_seed(n: int, s: int, q: int, budget: int, stats: dict, inc: list
     while h < P and a ** (P - h - 1) * (a + 1) ** (h + 1) <= inc[0]:
         h += 1
 
-    def take(value: int, H: Sequence[int]) -> int:
+    def take(value: int, H: Sequence[int]) -> None:
         nonlocal h
         record(a ** (P - value) * (a + 1) ** value, [a + w for w in H])
         h = value
-        return h
 
     _search(n, s, t, False, budget, stats, lambda: h + 1, take, cap=1)
 
@@ -505,11 +496,10 @@ def _run_search(n: int, s: int, q: int, mode: str, node_budget: int, seed: Multi
             break
     stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0, "levels": {}}
 
-    def record(value: int, W: list[int]) -> int:  # value > inc[0]
+    def record(value: int, W: list[int]) -> None:  # value > inc[0]
         inc[:] = value, Multigraph(n, W)
         if value >= upper:  # no completion beats the root bound
             raise _Stop
-        return value
 
     try:
         if inc[0] < upper:  # else a seed already meets the root bound
@@ -554,7 +544,7 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     """
     _validate(n, s, q)
     P = n * (n - 1) // 2
-    open_sets, later = _depth_tables(n, s)
+    later = _depth_tables(n, s)[1]
     # Once s >= 3 every depth up to P - 2 branches ({n-3, n-2, n-1} holds
     # pairs P - 2 and P - 1), and the node at depth fold = P - 3 counts its
     # subtree from the least rem on fold and P - 2, on fold and P - 1, on all
@@ -572,9 +562,8 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     # rem[X] is one more than what s-set X may still add, so choices[e], the
     # least rem over the s-sets on e, is the number of weights pair e may
     # take; both are carried by value and lowered on later[k] as in
-    # _tree_search's step.  Once no s-set has two open pairs (open_sets[k]
-    # is empty), the open pairs are independent and the count is the
-    # product of their choices.
+    # _tree_search's step.  At s = 2 each s-set is one pair, so the pairs
+    # are independent and the root counts all (q+1)**P graphs as one node.
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
         nonlocal nodes
         nodes += 1
@@ -599,13 +588,11 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
                 nodes += 1 + c
                 total += c * a - d * (d + 1) // 2 if d > 0 else c * a
         if nodes > node_budget:
-            raise BudgetExceededError(
-                f"count({n},{s},{q}) exceeded the node budget of {node_budget}"
-            )
+            raise BudgetExceededError(f"count({n},{s},{q}) exceeded the node budget of {node_budget}")
         if k == fold:
             return total
-        if not open_sets[k]:
-            return prod(choices[k:])
+        if s == 2:
+            return (q + 1) ** P
         total = 0
         for w in range(choices[k]):
             child, crem = choices[:], rem[:]
@@ -721,7 +708,8 @@ def brute_force(n: int, s: int, q: int, mode: str, weight_cap: int) -> SearchOut
     With weight_cap = q the result is the unrestricted optimum, since any
     pair lies inside an s-set.  Ties go to the assignment of smallest
     index.  Instances over DEFAULT_ORACLE_BUDGET assignments or table
-    cells are refused.  Used only to validate the pruned engines.
+    cells, or with an incidence table over MAX_TABLE_CELLS cells, are
+    refused.  Used only to validate the pruned engines.
     """
     t0 = time.perf_counter()
     _validate(n, s, q)
@@ -733,21 +721,17 @@ def brute_force(n: int, s: int, q: int, mode: str, weight_cap: int) -> SearchOut
     P = n * (n - 1) // 2
     total = (weight_cap + 1) ** P
     cells = (weight_cap + 1) * (weight_cap * P + 1)  # bounds the cells of levels 0..cap at s = n
-    if max(total, cells) > DEFAULT_ORACLE_BUDGET:
+    incidence = (2**n - n - 1) * P  # a row per s-set, for every s in 2..n
+    if max(total, cells) > DEFAULT_ORACLE_BUDGET or incidence > MAX_TABLE_CELLS:
         raise BudgetExceededError(
-            f"brute force over {total} assignments in a table of {cells} cells"
-            f" exceeds the budget of {DEFAULT_ORACLE_BUDGET}"
+            f"brute force over {total} assignments in a table of {cells} cells and {incidence} incidence"
+            f" cells exceeds the budget of {DEFAULT_ORACLE_BUDGET} or the table limit of {MAX_TABLE_CELLS}"
         )
     # DEFAULT_ORACLE_BUDGET < _IDX, so every index, sum and product is below
     # _IDX and codes fit in int64
 
     tabs = [level[s][:, : q + 1] for level in _bf_grow(n, weight_cap)[: weight_cap + 1]]
-    stats = {
-        "nodes": total,
-        "bound_prunes": 0,
-        "symmetry_prunes": 0,
-        "source": "oracle",
-    }
+    stats = {"nodes": total, "bound_prunes": 0, "symmetry_prunes": 0, "source": "oracle"}
 
     if mode == "count":
         value = sum(int(tab[0].sum()) for tab in tabs)

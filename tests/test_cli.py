@@ -428,6 +428,12 @@ class TestRangeArguments:
             pytest.param(["formulas", "--r", "1"], "no grid point", id="formulas-r-below-2"),
             pytest.param(["formulas", "--a", "2", "--d", "5"], "no grid point", id="formulas-d-above-a-1"),
             pytest.param(["expi", "4", "4", "15", "--budget", "0", "--out", "{out}"], "--budget", id="budget-0"),
+            # refused before a table of the C(26,13) s-sets is built, at any budget
+            pytest.param(["count", "26", "13", "1", "--budget", "1000"], "table of over", id="count-table-limit"),
+            pytest.param(
+                ["expi", "26", "13", "100", "--budget", "1000", "--out", "{out}"], "table of over",
+                id="expi-table-limit",
+            ),
             pytest.param(["formulas", "--precision", "0"], "--precision", id="precision-0"),
             pytest.param(["verify", "transformations", "--trials", "0", "--out", "{out}"], "--trials", id="trials-0"),
             pytest.param(["verify", "identities", "--amax", "0", "--out", "{out}"], "--amax", id="amax-0"),

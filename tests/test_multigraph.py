@@ -161,6 +161,36 @@ class TestSparsity:
         with pytest.raises(ValueError):
             G.satisfies(5, 5)
 
+    def test_table_limit_counts_cells_exactly(self):
+        # check_table refuses exactly the tables of over MAX_TABLE_CELLS cells, C(n,s) * C(n,2)
+        refused = 0
+        for n in range(2, 41):
+            for s in range(2, n + 1):
+                over = math.comb(n, s) * math.comb(n, 2) > M.MAX_TABLE_CELLS
+                if over:
+                    with pytest.raises(ValueError, match="table of over"):
+                        M.check_table(n, s)
+                    refused += 1
+                else:
+                    M.check_table(n, s)
+        assert refused == 482
+        # the largest table in use, expi 17 4 15, is admitted
+        assert math.comb(17, 4) * math.comb(17, 2) == 323_680
+        with pytest.raises(ValueError, match="table of over"):  # C(10**9, 5 * 10**8) is never computed
+            M.check_table(10**9, 5 * 10**8)
+
+    def test_oversized_table_refused_before_it_is_built(self, monkeypatch):
+        # the 13-sets of 26 vertices are 10,400,600
+        def build(*args):
+            raise AssertionError("table built")
+
+        monkeypatch.setattr(M, "combinations", build)
+        G = Multigraph.constant(26, 1)
+        with pytest.raises(ValueError, match="table of over"):
+            G.satisfies(13, 100)
+        with pytest.raises(ValueError, match="table of over"):
+            G.max_subset_sum(13)
+
 
 class TestClonesAndEdits:
     def test_constant_graph_all_clones(self):

@@ -8,7 +8,7 @@ import math
 import random
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import combinations, permutations, product
+from itertools import combinations, count, permutations, product
 from operator import itemgetter
 from pathlib import Path
 
@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from sqgraphs import constructions as C
+from sqgraphs import multigraph as M
 from sqgraphs import search as S
 from sqgraphs.formulas import _amgm
 from sqgraphs.multigraph import Multigraph, Params, pair_rank
@@ -417,12 +418,11 @@ class TestClimb:
             best[0] = value
             if value >= upper:
                 raise S._Stop
-            return value
 
         if best[0] < upper:
             stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
             with contextlib.suppress(S._Stop):
-                S._tree_search(n, s, q, True, S.DEFAULT_NODE_BUDGET, stats, best[0], leaf)
+                S._tree_search(n, s, q, True, S.DEFAULT_NODE_BUDGET, stats, lambda: best[0] + 1, leaf)
         return best[0]
 
     def test_matches_the_direct_search_on_the_grid(self):
@@ -463,9 +463,8 @@ class TestClimb:
         def leaf(value, W):  # keep every leaf; the floor stays at T-1
             assert value == T
             keep.append(W[:])
-            return T - 1
 
-        S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, T - 1, leaf)
+        S._tree_search(7, 6, 41, True, S.DEFAULT_NODE_BUDGET, stats, lambda: T, leaf)
         assert len(keep) == 6
         self.assert_nonisomorphic_optima(keep, T)
 
@@ -487,7 +486,6 @@ class TestClimb:
             assert value >= T and S._certified(Multigraph(m, W[:]), m, s, q, mode, value)
             assert cap is None or max(W) <= cap
             got.add(cls.canonical(W, m))
-            return T - 1
 
         collect(stats, leaf)
         return got
@@ -495,14 +493,13 @@ class TestClimb:
     @staticmethod
     def optimum(m, s, q, product, cap):
         """The direct search's last leaf from floor -1, which is the optimum."""
-        best = [None]
+        best = [-1]
 
         def leaf(value, W):
             best[0] = value
-            return value
 
         stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
-        S._tree_search(m, s, q, product, S.DEFAULT_NODE_BUDGET, stats, -1, leaf, cap=cap)
+        S._tree_search(m, s, q, product, S.DEFAULT_NODE_BUDGET, stats, lambda: best[0] + 1, leaf, cap=cap)
         return best[0]
 
     def test_recursive_collect_meets_the_direct_collect(self):
@@ -524,9 +521,9 @@ class TestClimb:
                     for q in qs(s):
                         for T in thresholds(self.optimum(m, s, q, product, cap)):
                             direct = self.classes(m, s, q, T, lambda st, leaf: S._tree_search(
-                                m, s, q, product, budget, st, T - 1, leaf, cap=cap), product, cap)
+                                m, s, q, product, budget, st, lambda: T, leaf, cap=cap), product, cap)
                             climbed = self.classes(m, s, q, T, lambda st, leaf: S._collect(
-                                m, s, q, budget, st, lambda: T, leaf, product, cap), product, cap)
+                                m, s, q, product, budget, st, lambda: T, leaf, cap), product, cap)
                             assert climbed == direct, (product, cap, m, s, q, T)
 
     def test_ties_hand_over_every_optimum(self):
@@ -535,7 +532,7 @@ class TestClimb:
         # collect keeps (see test_collect_keeps_one_graph_per_optimum)
         T = 918_330_048
         optima = self.classes(7, 6, 41, T, lambda st, leaf: S._collect(
-            7, 6, 41, S.DEFAULT_NODE_BUDGET, st, lambda: T, leaf, True))
+            7, 6, 41, True, S.DEFAULT_NODE_BUDGET, st, lambda: T, leaf))
         assert len(optima) == 6
         self.assert_nonisomorphic_optima(optima, T)
 
@@ -560,9 +557,9 @@ class TestClimb:
         assert S.max_product_search(7, 6, 17).value == 4
         budget = S.DEFAULT_NODE_BUDGET
         handed = self.classes(7, 6, 17, 4, lambda st, leaf: S._collect(
-            7, 6, 17, budget, st, lambda: 4, leaf, True))
+            7, 6, 17, True, budget, st, lambda: 4, leaf))
         direct = self.classes(7, 6, 17, 4, lambda st, leaf: S._tree_search(
-            7, 6, 17, True, budget, st, 3, leaf))
+            7, 6, 17, True, budget, st, lambda: 4, leaf))
         assert handed == direct and len(handed) == 2
 
     def test_nodes_sum_over_levels(self):
@@ -660,7 +657,6 @@ class TestTwoWeightSeed:
         def record(value, W):
             inc[:] = value, Multigraph(n, W)
             assert S._certified(inc[1], n, s, q, "product", value)
-            return value
 
         S._two_weight_seed(n, s, q, S.DEFAULT_NODE_BUDGET, stats, inc, record)
         return inc[0], inc[1], stats["nodes"]
@@ -743,12 +739,14 @@ class TestCounting:
 
         return dfs(0, [q + 1] * math.comb(n, 2), [q + 1] * math.comb(n, s)), nodes
 
-    def test_leaves_counted_in_place_keep_one_node_per_tree_node(self):
-        # each (n, s) climbs q until the reference passes 20,000 nodes
+    def test_fold_keeps_one_node_per_tree_node_for_every_s(self):
+        # at s = 2 the root counts every graph, one node, for q up to 12; for
+        # s >= 3 the node at depth P-3 counts its children and their leaves in
+        # place, and each (n, s) climbs q until the reference passes 20,000 nodes
         rows = 0
-        for n in range(2, 7):
-            for s in sorted({2, min(3, n), n}):
-                for q in range(13):
+        for n in range(2, 8):
+            for s in range(2, n + 1):
+                for q in range(13) if s == 2 else count():
                     value, nodes = self.one_call_per_node(n, s, q)
                     assert S.count_graphs(n, s, q, node_budget=nodes) == value, (n, s, q)
                     with pytest.raises(S.BudgetExceededError):
@@ -756,22 +754,7 @@ class TestCounting:
                     rows += 1
                     if nodes > 20_000:
                         break
-        assert rows == 127
-
-    def test_fold_keeps_one_node_per_tree_node_for_every_s(self):
-        # the node at depth P-3 counts its children and their leaves in place;
-        # each (n, s) climbs q until the reference passes 20,000 nodes
-        rows = 0
-        for n in range(3, 8):
-            for s in range(3, n + 1):
-                nodes, q = 0, 0
-                while nodes <= 20_000:
-                    value, nodes = self.one_call_per_node(n, s, q)
-                    assert S.count_graphs(n, s, q, node_budget=nodes) == value, (n, s, q)
-                    with pytest.raises(S.BudgetExceededError):
-                        S.count_graphs(n, s, q, node_budget=nodes - 1)
-                    rows, q = rows + 1, q + 1
-        assert rows == 290
+        assert rows == 368
 
     @pytest.mark.slow
     def test_deepest_pinned_count_is_node_exact(self):
@@ -780,6 +763,23 @@ class TestCounting:
         assert S.count_graphs(6, 4, 8, node_budget=22_622_784) == 29_598_215
         with pytest.raises(S.BudgetExceededError):
             S.count_graphs(6, 4, 8, node_budget=22_622_783)
+
+
+class TestTableLimit:
+    def test_oversized_instances_refused_before_any_table(self, monkeypatch):
+        # (26,13) has C(26,13) = 10,400,600 s-sets at any budget, and the
+        # oracle at n = 24 an incidence row for each of 2**24 - 25 s-sets
+        def build(*args, **kwargs):
+            raise AssertionError("table built")
+
+        for module, name in ((S, "combinations"), (S.np, "zeros"), (M, "combinations")):
+            monkeypatch.setattr(module, name, build)
+        with pytest.raises(ValueError, match="table of over"):
+            S.count_graphs(26, 13, 1, node_budget=1000)
+        with pytest.raises(ValueError, match="table of over"):
+            S.max_product_search(26, 13, 100, node_budget=1000)
+        with pytest.raises(S.BudgetExceededError, match="incidence"):
+            S.brute_force(24, 2, 0, "sum", 0)
 
 
 class TestOracle:

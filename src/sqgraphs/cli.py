@@ -115,6 +115,8 @@ def _count_command(args) -> int:
 def _search_command(args) -> int:
     n, s, q = args.n, args.s, args.q
     seed = None
+    if args.cache and not os.path.isdir(os.path.dirname(args.cache) or "."):  # refused before any output
+        raise ValueError(f"--cache directory {os.path.dirname(args.cache)!r} does not exist")
     if args.cache:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always", search.CacheWarning)

@@ -545,54 +545,74 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     _validate(n, s, q)
     P = n * (n - 1) // 2
     later = _depth_tables(n, s)[1]
-    # Once s >= 3 every depth up to P - 2 branches ({n-3, n-2, n-1} holds
-    # pairs P - 2 and P - 1), and the node at depth fold = P - 3 counts its
-    # subtree from the least rem on fold and P - 2, on fold and P - 1, on all
-    # three, and on P - 2 and P - 1 only (a getter lists its s-sets twice, so
-    # one s-set gives a tuple; an empty group, at s = 3 or s = n, reads inf).
-    fold, lows = -1, []
-    if s >= 3:
-        fold, on_fold = P - 3, dict(later[P - 3])
-        both = [X for X, prs in later[P - 2] if prs]
-        groups = [[X for X, prs in on_fold.items() if e in prs] for e in (P - 2, P - 1)]
-        groups += [[X for X in both if X in on_fold], [X for X in both if X not in on_fold]]
-        lows = [itemgetter(*Xs, *Xs) if Xs else None for Xs in groups]
     nodes = 0
+
+    def charge(size: int) -> None:
+        nonlocal nodes
+        nodes += size
+        if nodes > node_budget:
+            raise BudgetExceededError(f"count({n},{s},{q}) exceeded the node budget of {node_budget}")
 
     # rem[X] is one more than what s-set X may still add, so choices[e], the
     # least rem over the s-sets on e, is the number of weights pair e may
     # take; both are carried by value and lowered on later[k] as in
     # _tree_search's step.  At s = 2 each s-set is one pair, so the pairs
     # are independent and the root counts all (q+1)**P graphs as one node.
+    if s == 2:
+        charge(1)
+        return (q + 1) ** P
+
+    # Once s >= 3 every depth up to P - 2 branches ({n-3, n-2, n-1} holds
+    # pairs P - 2 and P - 1).  A node at depth P - 3 reads only the least rem
+    # over seven groups of s-sets: those on P - 3, on P - 2 and on P - 1 (its
+    # choices), on P - 3 and P - 2, on P - 3 and P - 1, on all three, and on
+    # P - 2 and P - 1 only (an empty group reads inf).  Its child w lowers
+    # each s-set X on P - 3 to rem[X] - w, so the child's pair P - 2 has c
+    # choices and P - 1 has a, and its child w' is a leaf with min(a, m - w')
+    # choices, m the child's least rem over the s-sets on P - 2 and P - 1.
+    # Each rem bounds the choices of its s-set's open pairs, so c <= m and
+    # a <= m: the leaves have a choices while w' <= m - a, and the last
+    # d = c + a - m - 1 (if d > 0) have a - 1, ..., a - d.  So fold gives the
+    # node's (nodes, count), 1 + c nodes per child, from its seven ints
+    # alone, and a per-call memo on them is exact.  It holds at most
+    # (q+2)**7 keys, and 17,587 at (6,4,9) in 20M nodes.
+    @lru_cache(maxsize=None)
+    def fold(cw: int, c2: int, c1: int, r2: int, r1: int, r3: int, r0: int) -> tuple[int, int]:
+        size, total = 1, 0
+        for w in range(cw):
+            c = r2 - w if r2 - w < c2 else c2
+            a = r1 - w if r1 - w < c1 else c1
+            m = r3 - w if r3 - w < r0 else r0
+            d = c + a - m - 1
+            size += 1 + c
+            total += c * a - d * (d + 1) // 2 if d > 0 else c * a
+        return size, total
+
+    # The node at depth P - 4 counts its children in place: child w lowers
+    # the s-sets on P - 4 by w, so each group's least rem is min(A - w, B),
+    # A its least on P - 4 and B its least off it (a getter lists its s-sets
+    # twice, so one s-set gives a tuple).  At n = 3 the root is a P - 3 node.
+    # The node total only grows, so one budget check per P - 4 node raises
+    # exactly when one check per node would.
+    f4, f3, f2, f1 = ({X for X, _ in later[e]} if e >= 0 else set() for e in range(P - 4, P))
+    groups = (f3, f2, f1, f3 & f2, f3 & f1, f3 & f2 & f1, f2 & f1 - f3)
+    gets = [itemgetter(*Xs, *Xs) if Xs else None for g in groups for Xs in (sorted(g & f4), sorted(g - f4))]
+
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
-        nonlocal nodes
-        nodes += 1
-        if k == fold:
-            # Child w of the fold lowers each s-set X on fold to rem[X] - w, so
-            # its pair P - 2 has c choices and P - 1 has a, and its child w' is
-            # a leaf with min(a, m - w') choices, m the child's least rem over
-            # the s-sets on P - 2 and P - 1.  Each rem bounds the choices of
-            # its s-set's open pairs, so c <= m and a <= m: the leaves have a
-            # choices while w' <= m - a, and the last d = c + a - m - 1 (if
-            # d > 0) have a - 1, ..., a - d.  The child is 1 + c nodes; the
-            # node total only grows, so one budget check per fold raises
-            # exactly when one check per node would.
-            total = 0
-            r2, r1, r3, r0 = [min(get(rem)) if get else inf for get in lows]
-            c2, c1 = choices[P - 2], choices[P - 1]
-            for w in range(choices[k]):
-                c = r2 - w if r2 - w < c2 else c2
-                a = r1 - w if r1 - w < c1 else c1
-                m = r3 - w if r3 - w < r0 else r0
-                d = c + a - m - 1
-                nodes += 1 + c
-                total += c * a - d * (d + 1) // 2 if d > 0 else c * a
-        if nodes > node_budget:
-            raise BudgetExceededError(f"count({n},{s},{q}) exceeded the node budget of {node_budget}")
-        if k == fold:
+        if k == max(P - 4, 0):
+            a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = [min(g(rem)) if g else inf for g in gets]
+            size, total = fold(b0, b1, b2, b3, b4, b5, b6) if P == 3 else (1, 0)
+            for w in range(choices[k] if P > 3 else 0):  # written out: a comprehension doubled its cost
+                sub, count = fold(
+                    a0 - w if a0 - w < b0 else b0, a1 - w if a1 - w < b1 else b1, a2 - w if a2 - w < b2 else b2,
+                    a3 - w if a3 - w < b3 else b3, a4 - w if a4 - w < b4 else b4, a5 - w if a5 - w < b5 else b5,
+                    a6 - w if a6 - w < b6 else b6,
+                )
+                size += sub
+                total += count
+            charge(size)
             return total
-        if s == 2:
-            return (q + 1) ** P
+        charge(1)
         total = 0
         for w in range(choices[k]):
             child, crem = choices[:], rem[:]
@@ -611,7 +631,7 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
 # brute-force oracle
 # ---------------------------------------------------------------------------
 
-_CHUNK = 1 << 15  # assignments per step: about 20 MB of temporaries at n = 5
+_CHUNK = 1 << 15  # most settings of a block's low digits: about 15 MB of temporaries at n = 5
 _IDX = 1 << 31  # indices and values stay below it (see brute_force)
 
 
@@ -641,7 +661,7 @@ def _bf_table(n: int) -> dict:
     for s in range(2, n + 1):
         start = len(incidence)
         for X in combinations(range(n), s):
-            row = np.zeros(P)
+            row = np.zeros(P, np.int64)
             row[[pair_rank(u, v) for u, v in combinations(X, 2)]] = 1
             incidence.append(row)
         rows[s] = slice(start, len(incidence))
@@ -651,34 +671,34 @@ def _bf_table(n: int) -> dict:
 def _bf_grow(n: int, cap: int) -> list[dict[int, np.ndarray]]:
     """The levels of n, enumerated up to level cap."""
     table = _bf_table(n)
-    levels = table["levels"]
+    levels, incidence, rows = table["levels"], table["incidence"], table["rows"]
     P = n * (n - 1) // 2
     for c in range(len(levels), cap + 1):
         # per s and maximum s-set sum: a count of 0 and no code yet (-1)
         level = {s: np.repeat(np.array([[0], [-1], [-1]], np.int64), c * comb(s, 2) + 1, axis=1)
-                 for s in table["rows"]}
+                 for s in rows}
         start = c**P
-        for j in range(P):
-            # int32 digits: offsets stay below _IDX (see brute_force)
+        for j in range(P if c else 1):  # level 0 has one block, the zero assignment
+            # the low digits (the longest prefix with at most _CHUNK settings) are
+            # built once with their integer s-set sums, sum and product; each
+            # chunk is one setting of the high digits, added to them as constants
             radix = _level_radices(c, j, P)
-            radices = np.array(radix, dtype=np.int32)[:, None]
-            strides = np.array([prod(radix[:i]) for i in range(P)], dtype=np.int32)[:, None]
-            block = c**j * (c + 1) ** (P - 1 - j)
-            for lo in range(0, block, _CHUNK):
-                off = np.arange(lo, min(lo + _CHUNK, block), dtype=np.int32)
-                W = off // strides % radices
-                W[j] = c
-                tiebreak = (_IDX - 1 - start) - off.astype(np.int64)
-                enc_sum = W.sum(axis=0, dtype=np.int64) * _IDX + tiebreak
-                enc_prod = np.multiply.reduce(W, axis=0, dtype=np.int64) * _IDX + tiebreak
-                # s-set sums are below _IDX, so exact in float64
-                setsums = table["incidence"] @ W.astype(np.float64)
+            t = max(i for i in range(P + 1) if prod(radix[:i]) <= _CHUNK)
+            low, high = (np.indices(r[::-1]).reshape(len(r), prod(r))[::-1] for r in (radix[:t], radix[t:]))
+            (low if j < t else high)[j if j < t else j - t] = c  # entry j is c
+            sums, total, product = incidence[:, :t] @ low, low.sum(axis=0), low.prod(axis=0)
+            high_sums, high_total, high_product = incidence[:, t:] @ high, high.sum(axis=0), high.prod(axis=0)
+            tiebreak = (_IDX - 1 - start) - np.arange(low.shape[1])
+            for h in range(high.shape[1]):
+                enc_sum = (total + high_total[h]) * _IDX + tiebreak
+                enc_prod = product * high_product[h] * _IDX + tiebreak
                 for s, tab in level.items():
-                    m = setsums[table["rows"][s]].max(axis=0).astype(np.int64)
+                    m = (sums[rows[s]] + high_sums[rows[s], h, None]).max(axis=0)
                     tab[0] += np.bincount(m, minlength=tab.shape[1])
                     np.maximum.at(tab[1], m, enc_sum)
                     np.maximum.at(tab[2], m, enc_prod)
-            start += block
+                tiebreak -= low.shape[1]
+            start += low.shape[1] * high.shape[1]
         levels.append(level)
     return levels
 

@@ -246,6 +246,15 @@ class TestSearchCommands:
         fields = record_fields(out)
         assert (fields["value"], fields["optimal"]) == ("419904", "true")
 
+    def test_cache_in_missing_directory_is_refused_before_searching(self, capsys, tmp_path):
+        cache = str(tmp_path / "missing" / "cache.jsonl")
+        out_dir = tmp_path / "out"
+        argv = ("exsum", "4", "4", "15", "--cache", cache, "--format", "csv", "--out", str(out_dir))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error:") and "missing" in err
+        assert not out_dir.exists()  # no witness file
+
     def test_count_ignores_cache(self, capsys, tmp_path):
         # a count record has no witness to re-check, so count has no --cache
         # flag: an edited record can be neither served nor added to

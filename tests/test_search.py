@@ -741,8 +741,8 @@ class TestCounting:
 
     def test_fold_keeps_one_node_per_tree_node_for_every_s(self):
         # at s = 2 the root counts every graph, one node, for q up to 12; for
-        # s >= 3 the node at depth P-3 counts its children and their leaves in
-        # place, and each (n, s) climbs q until the reference passes 20,000 nodes
+        # s >= 3 the node at depth P-4 counts its subtree in place (the root at
+        # n = 3), and each (n, s) climbs q until the reference passes 20,000 nodes
         rows = 0
         for n in range(2, 8):
             for s in range(2, n + 1):
@@ -838,6 +838,24 @@ class TestOracle:
         assert same_levels(S._bf_table(4)["levels"], fresh_levels[:2])
         assert run() == fresh
         assert same_levels(S._bf_table(4)["levels"], fresh_levels)
+
+    def test_chunks_that_split_blocks_keep_the_tables(self, monkeypatch):
+        # at _CHUNK = 7 every block of n = 4 from level 2 on, and of n = 3
+        # from level 3 on, spans several settings of its high digits
+        def grow(n, cap):
+            S._bf_table.cache_clear()
+            return S._bf_grow(n, cap)
+
+        for n, cap in ((4, 3), (3, 6)):
+            want = grow(n, cap)
+            with monkeypatch.context() as m:
+                m.setattr(S, "_CHUNK", 7)
+                got = grow(n, cap)
+            assert len(got) == len(want) == cap + 1
+            for a, b in zip(got, want):
+                assert a.keys() == b.keys() == set(range(2, n + 1))
+                assert all(np.array_equal(a[s], b[s]) for s in b), (n, cap)
+        S._bf_table.cache_clear()
 
     def test_witness_does_not_depend_on_cap(self):
         cases = [(s, q, mode) for s in (2, 3, 4) for q in (3, 5, 7) for mode in ("sum", "product")]

@@ -35,10 +35,11 @@ def grade_bounds(params: Params, s: int) -> dict[int, int]:
     return dict(_grade_bounds(params, s))
 
 
+@lru_cache(maxsize=256)
 def in_graded_family(G: Multigraph, params: Params) -> bool:
     """True iff G meets the (s', bound(s'))-property for every grade s' <= s_base.
 
-    Grades above the vertex count hold vacuously.
+    Grades above the vertex count hold vacuously.  The last 256 answers are kept.
     """
     for sp, bound in _grade_bounds(params, params.s_base):
         if sp <= G.n and not G.satisfies(sp, bound):

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, prod
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -56,6 +56,13 @@ def _s_sets(n: int, s: int) -> tuple[tuple[tuple[int, ...], itemgetter], ...]:
         # itemgetter of one index returns the weight itself; a slice keeps a tuple
         table.append((xs, itemgetter(*ranks) if s > 2 else itemgetter(slice(ranks[0], ranks[0] + 1))))
     return tuple(table)
+
+
+@lru_cache(maxsize=None)
+def _clone_rows(n: int, u: int, v: int) -> tuple[itemgetter, itemgetter]:
+    """Getters for u's and v's weights to each third vertex, in one order."""
+    zs = [z for z in range(n) if z != u and z != v]
+    return itemgetter(*(pair_rank(u, z) for z in zs)), itemgetter(*(pair_rank(v, z) for z in zs))
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ class Multigraph:
         """Yield (i, j, weight) for every pair, i < j, in lexicographic order."""
         for i in range(self.n):
             for j in range(i + 1, self.n):
-                yield i, j, self._w[pair_rank(i, j)]
+                yield i, j, self._w[j * (j - 1) // 2 + i]  # pair_rank(i, j), inlined
 
     def min_weight(self) -> int:
         return min(self._w, default=0)
@@ -161,20 +168,18 @@ class Multigraph:
 
     def edge_sum(self, X: Iterable[int] | None = None) -> int:
         """Sum of weights over pairs inside X (whole graph when X is None)."""
+        if X is None:
+            return sum(self._w)
         xs = self._vertex_set(X)
         w = self._w
         return sum(w[pair_rank(u, v)] for u, v in combinations(xs, 2))
 
     def edge_product(self, X: Iterable[int] | None = None) -> int:
         """Product of weights over pairs inside X; 1 when |X| <= 1.  Exact."""
-        xs = self._vertex_set(X)
+        if X is None:
+            return prod(self._w)
         w = self._w
-        out = 1
-        for u, v in combinations(xs, 2):
-            out *= w[pair_rank(u, v)]
-            if out == 0:
-                return 0
-        return out
+        return prod(w[pair_rank(u, v)] for u, v in combinations(self._vertex_set(X), 2))
 
     def product_degree(self, v: int) -> int:
         self._check_vertex(v)
@@ -217,12 +222,10 @@ class Multigraph:
         self._check_vertex(v)
         if u == v:
             raise ValueError("clone test needs two distinct vertices")
-        w = self._w
-        return all(
-            w[pair_rank(u, z)] == w[pair_rank(v, z)]
-            for z in range(self.n)
-            if z != u and z != v
-        )
+        if self.n == 2:  # no third vertex
+            return True
+        row_u, row_v = _clone_rows(self.n, u, v)
+        return row_u(self._w) == row_v(self._w)
 
     def copied_row(self, source: int, target: int) -> "Multigraph":
         """New graph where target's weights to third vertices are copied from source.

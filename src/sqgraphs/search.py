@@ -588,28 +588,43 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
             total += c * a - d * (d + 1) // 2 if d > 0 else c * a
         return size, total
 
-    # The node at depth P - 4 counts its children in place: child w lowers
-    # the s-sets on P - 4 by w, so each group's least rem is min(A - w, B),
-    # A its least on P - 4 and B its least off it (a getter lists its s-sets
-    # twice, so one s-set gives a tuple).  At n = 3 the root is a P - 3 node.
-    # The node total only grows, so one budget check per P - 4 node raises
-    # exactly when one check per node would.
-    f4, f3, f2, f1 = ({X for X, _ in later[e]} if e >= 0 else set() for e in range(P - 4, P))
-    groups = (f3, f2, f1, f3 & f2, f3 & f1, f3 & f2 & f1, f2 & f1 - f3)
-    gets = [itemgetter(*Xs, *Xs) if Xs else None for g in groups for Xs in (sorted(g & f4), sorted(g - f4))]
+    if n == 3:  # so s = 3: the root is a P - 3 node, and its one s-set is on all three pairs
+        size, total = fold(q + 1, q + 1, q + 1, q + 1, q + 1, q + 1, inf)
+        charge(size)
+        return total
+
+    # A node at depth P - 4 reads 15 ints: its choices (the least rem on P - 4)
+    # and each group's least rems A on P - 4 and B off it; its child w lowers
+    # the s-sets on P - 4 by w, so the child's group reads min(A - w, B).  So
+    # the node at P - 5 takes the 15 once, split on and off P - 5 (a getter
+    # lists its s-sets twice, so one s-set gives a tuple), and counts its
+    # children and theirs in place.  Totals only grow, so one budget check per
+    # P - 5 node raises exactly when one check per node would.
+    f5, f4, f3, f2, f1 = ({X for X, _ in later[e]} for e in range(P - 5, P))
+    groups = (f4, *(h for g in (f3, f2, f1, f3 & f2, f3 & f1, f3 & f2 & f1, f2 & f1 - f3) for h in (g & f4, g - f4)))
+    gets = [itemgetter(*Xs, *Xs) if Xs else None for g in groups for Xs in (sorted(g & f5), sorted(g - f5))]
 
     def dfs(k: int, choices: list[int], rem: list[int]) -> int:
-        if k == max(P - 4, 0):
-            a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = [min(g(rem)) if g else inf for g in gets]
-            size, total = fold(b0, b1, b2, b3, b4, b5, b6) if P == 3 else (1, 0)
-            for w in range(choices[k] if P > 3 else 0):  # written out: a comprehension doubled its cost
-                sub, count = fold(
-                    a0 - w if a0 - w < b0 else b0, a1 - w if a1 - w < b1 else b1, a2 - w if a2 - w < b2 else b2,
-                    a3 - w if a3 - w < b3 else b3, a4 - w if a4 - w < b4 else b4, a5 - w if a5 - w < b5 else b5,
-                    a6 - w if a6 - w < b6 else b6,
-                )
-                size += sub
-                total += count
+        if k == P - 5:
+            (C, D, A0, B0, E0, F0, A1, B1, E1, F1, A2, B2, E2, F2, A3, B3, E3, F3,
+             A4, B4, E4, F4, A5, B5, E5, F5, A6, B6, E6, F6) = [min(g(rem)) if g else inf for g in gets]
+            size, total = 1 + choices[k], 0
+            for x in range(choices[k]):  # both loops written out: a comprehension doubled their cost
+                c4, a0, b0 = C - x if C - x < D else D, A0 - x if A0 - x < B0 else B0, E0 - x if E0 - x < F0 else F0
+                a1, b1 = A1 - x if A1 - x < B1 else B1, E1 - x if E1 - x < F1 else F1
+                a2, b2 = A2 - x if A2 - x < B2 else B2, E2 - x if E2 - x < F2 else F2
+                a3, b3 = A3 - x if A3 - x < B3 else B3, E3 - x if E3 - x < F3 else F3
+                a4, b4 = A4 - x if A4 - x < B4 else B4, E4 - x if E4 - x < F4 else F4
+                a5, b5 = A5 - x if A5 - x < B5 else B5, E5 - x if E5 - x < F5 else F5
+                a6, b6 = A6 - x if A6 - x < B6 else B6, E6 - x if E6 - x < F6 else F6
+                for w in range(c4):
+                    sub, count = fold(
+                        a0 - w if a0 - w < b0 else b0, a1 - w if a1 - w < b1 else b1, a2 - w if a2 - w < b2 else b2,
+                        a3 - w if a3 - w < b3 else b3, a4 - w if a4 - w < b4 else b4, a5 - w if a5 - w < b5 else b5,
+                        a6 - w if a6 - w < b6 else b6,
+                    )
+                    size += sub
+                    total += count
             charge(size)
             return total
         charge(1)

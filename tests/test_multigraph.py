@@ -210,6 +210,25 @@ class TestClonesAndEdits:
             for i, j in combinations(range(5), 2):
                 assert G.are_clones(i, j) == G.are_clones(j, i)
 
+    def test_fast_paths_match_brute_references(self):
+        # are_clones, pairs and the whole-graph sum and product read the weight
+        # vector directly; each must agree with a pair_rank walk
+        rng = random.Random(41)
+        for n in range(2, 9):
+            for _ in range(5):
+                G = random_graph(n, 2, rng)
+                w = G.weights()
+                for u in range(n):
+                    for v in range(n):
+                        if u != v:
+                            others = [z for z in range(n) if z not in (u, v)]
+                            brute = all(w[pair_rank(u, z)] == w[pair_rank(v, z)] for z in others)
+                            assert G.are_clones(u, v) == brute, (w, u, v)
+                assert list(G.pairs()) == [(i, j, w[pair_rank(i, j)]) for i in range(n) for j in range(i + 1, n)]
+                assert G.edge_sum() == G.edge_sum(range(n))
+                assert G.edge_product() == G.edge_product(range(n))
+        assert Multigraph(2, [0]).are_clones(0, 1) and Multigraph(2, [3]).are_clones(1, 0)
+
     def test_copied_row(self):
         G = layered_graph(1, 2, 3, (2, 3))
         H = G.copied_row(2, 0)

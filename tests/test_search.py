@@ -741,7 +741,7 @@ class TestCounting:
 
     def test_fold_keeps_one_node_per_tree_node_for_every_s(self):
         # at s = 2 the root counts every graph, one node, for q up to 12; for
-        # s >= 3 the node at depth P-4 counts its subtree in place (the root at
+        # s >= 3 the node at depth P-5 counts its subtree in place (the root at
         # n = 3), and each (n, s) climbs q until the reference passes 20,000 nodes
         rows = 0
         for n in range(2, 8):
@@ -763,6 +763,13 @@ class TestCounting:
         assert S.count_graphs(6, 4, 8, node_budget=22_622_784) == 29_598_215
         with pytest.raises(S.BudgetExceededError):
             S.count_graphs(6, 4, 8, node_budget=22_622_783)
+
+    @pytest.mark.slow
+    def test_paper_counting_point(self):
+        # verify counting's point (s, q) = (2r, (a-1)*C(2r,2) + ex(2r, K_{r+1}) - 1)
+        # at n = 6, a = r = 2, which it skips at the default budget; the budget
+        # is the count's node total
+        assert S.count_graphs(6, 4, 9, node_budget=70_718_747) == 104_079_865
 
 
 class TestTableLimit:

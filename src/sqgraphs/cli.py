@@ -10,6 +10,7 @@ verify suite records hard check failures.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv as _csv
 import io
 import json
@@ -50,11 +51,17 @@ def _emit(record: dict, args, header_done: list[bool]) -> None:
 
 
 def _write_out(args, name: str, text: str) -> str:
-    """Write ``text`` and a newline to file ``name`` under --out; return its path."""
+    """Write ``text`` and a newline to file ``name`` under --out, unless it holds them; return its path."""
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    data = (text + "\n").encode("utf-8")
+    with contextlib.suppress(OSError):  # unreadable: written below, or refused as before
+        if os.path.isfile(path) and os.path.getsize(path) == len(data):
+            with open(path, "rb") as fh:
+                if fh.read() == data:
+                    return path
+    with open(path, "wb") as fh:
+        fh.write(data)
     return path
 
 

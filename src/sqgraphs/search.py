@@ -804,8 +804,12 @@ def cache_record(n: int, s: int, q: int, outcome: SearchOutcome) -> dict:
 
 
 def append_cache(path: str, record: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record, separators=(",", ":"), sort_keys=True) + "\n")
+    line = json.dumps(record, separators=(",", ":"), sort_keys=True).encode() + b"\n"
+    with open(path, "a+b") as fh:
+        fh.seek(max(fh.seek(0, 2) - 1, 0))  # to the last byte, if any
+        if fh.read(1) not in (b"", b"\n"):  # a torn last line: end it first
+            line = b"\n" + line
+        fh.write(line)
         fh.flush()
 
 
@@ -815,15 +819,29 @@ _CACHE_HEAD = re.compile(
     r'\{"engine_version":' + re.escape(json.dumps(ENGINE_VERSION)) + r',"key":\{"mode":"(product|sum)",'
     r'"n":(0|[1-9][0-9]*),"q":(0|[1-9][0-9]*),"s":(0|[1-9][0-9]*)\}'
 )
+_CACHE_HEADLESS = re.compile("\n(?!" + _CACHE_HEAD.pattern + ")")  # line starts no head opens
+_CACHE_BLOCK = 1 << 20  # characters read at a time, completed to a whole line
+
+
+def _cache_lines(fh, head: str) -> Iterator[str]:
+    """In file order, fh's lines that no _CACHE_HEAD opens or head ("\n" + a key's head) opens."""
+    while block := fh.read(_CACHE_BLOCK) + fh.readline():
+        text = "\n" + block.removesuffix("\n") + "\n"  # each line led and ended by "\n"
+        starts = {m.end() for m in _CACHE_HEADLESS.finditer(text)}
+        at = -1
+        while (at := text.find(head, at + 1)) >= 0:
+            starts.add(at + 1)
+        for start in sorted(starts)[:-1]:  # the last start is text's end
+            yield text[start : text.index("\n", start)]
 
 
 def load_cache(path: str, key: tuple[int, int, int, str]) -> dict | None:
     """The latest record of key = (n, s, q, mode) at this engine version,
     or None.
 
-    A line that opens with another key's _CACHE_HEAD is skipped unparsed.
-    Every other line is parsed, and its record is used only if its decoded
-    key equals the wanted one.  The file is untrusted input: a parsed line that is not
+    _cache_lines skips, unparsed, each line that opens with another key's
+    _CACHE_HEAD.  Every other line is parsed, and its record is used only if
+    its decoded key equals the wanted one.  The file is untrusted input: a parsed line that is not
     JSON or lacks the key fields (a torn last write, a hand edit, bytes that
     are not UTF-8, arrays nested too deep to parse) is skipped, and one
     CacheWarning reports how many were.  So the warning counts the
@@ -834,6 +852,8 @@ def load_cache(path: str, key: tuple[int, int, int, str]) -> dict | None:
     """
     n, s, q, mode = key
     own = (mode, str(n), str(q), str(s))  # the key's _CACHE_HEAD groups
+    mine = {"engine_version": ENGINE_VERSION, "key": {"n": n, "s": s, "q": q, "mode": mode}}
+    mine = "\n" + json.dumps(mine, separators=(",", ":"), sort_keys=True)[:-1]  # a line start, the key's head
     out: dict[tuple, dict] = {}
     skipped = 0
     try:
@@ -841,7 +861,7 @@ def load_cache(path: str, key: tuple[int, int, int, str]) -> dict | None:
     except FileNotFoundError:
         return None
     with fh:
-        for line in fh:
+        for line in _cache_lines(fh, mine):
             line = line.strip()
             if not line:
                 continue
@@ -870,8 +890,6 @@ def cached_outcome(path: str, n: int, s: int, q: int, mode: str) -> Multigraph |
     stored value; anything else is a miss.  It proves only that the value
     is attained, so it serves as the search's first seed (see _run_search),
     never as an optimum: the record's "optimal" and "stats" are not read.
-    One load_cache call finds the record, parsing only the lines that can
-    hold the key.
     """
     rec = load_cache(path, (n, s, q, mode))
     if rec is None:

@@ -6,10 +6,11 @@ import csv
 import io
 import json
 import os
+from types import SimpleNamespace
 
 import pytest
 
-from sqgraphs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from sqgraphs.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _write_out, main
 from sqgraphs.constructions import construction_product
 from sqgraphs.multigraph import Multigraph, Params
 from sqgraphs.search import SearchOutcome, append_cache, cache_record
@@ -273,6 +274,58 @@ class TestSearchCommands:
         header, row = out.strip().splitlines()
         assert header.split(",")[:4] == ["command", "n", "s", "q"]
         assert row.split(",")[4] == "729"
+
+
+OLD_NS = 1_000_000_000_000_000_000  # an mtime in 2001, set by hand
+
+
+class TestWitnessFile:
+    TEXT = '{"n":3,"edges":[[0,1,2]]}'
+
+    def write(self, tmp_path) -> str:
+        return _write_out(SimpleNamespace(out=str(tmp_path)), "w.witness.json", self.TEXT)
+
+    def test_identical_file_is_left_alone(self, tmp_path):
+        path = self.write(tmp_path)
+        os.utime(path, ns=(OLD_NS, OLD_NS))
+        inode = os.stat(path).st_ino
+        assert self.write(tmp_path) == path
+        assert (os.stat(path).st_ino, os.stat(path).st_mtime_ns) == (inode, OLD_NS)
+        assert open(path, "rb").read() == (self.TEXT + "\n").encode()
+
+    @pytest.mark.parametrize(
+        "stale",
+        [
+            (TEXT.replace("2]]", "3]]") + "\n").encode(),  # same length, one byte changed
+            (TEXT + "\n\n").encode(),  # longer, with the same prefix
+            (TEXT + "\r\n").encode(),  # a CRLF copy
+            (TEXT + "\r").encode(),  # same length, its newline a lone CR
+        ],
+    )
+    def test_other_bytes_are_rewritten(self, tmp_path, stale):
+        path = tmp_path / "w.witness.json"
+        assert stale != (self.TEXT + "\n").encode()
+        path.write_bytes(stale)
+        os.utime(path, ns=(OLD_NS, OLD_NS))
+        self.write(tmp_path)
+        assert path.read_bytes() == (self.TEXT + "\n").encode()
+        assert os.stat(path).st_mtime_ns != OLD_NS
+
+    def test_directory_at_witness_path_exits_2(self, capsys, tmp_path):
+        (tmp_path / "expi_n4_s4_q15.witness.json").mkdir()
+        code, out, err = run(capsys, "expi", "4", "4", "15", "--out", str(tmp_path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error:")
+
+    def test_rerun_leaves_witness_untouched(self, capsys, tmp_path):
+        argv = ("expi", "4", "4", "15", "--out", str(tmp_path / "d"))
+        code, first, _ = run(capsys, *argv)
+        assert code == EXIT_OK
+        path = record_fields(first)["witness"]
+        os.utime(path, ns=(OLD_NS, OLD_NS))
+        code, second, _ = run(capsys, *argv)
+        assert (code, second) == (EXIT_OK, first)
+        assert os.stat(path).st_mtime_ns == OLD_NS
 
 
 class TestConstructCommand:

@@ -6,6 +6,7 @@ import contextlib
 import json
 import math
 import random
+import warnings
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations, count, permutations, product
@@ -1065,6 +1066,73 @@ def canonical_line(n: int, s: int, q: int, mode: str = "sum") -> str:
     return json.dumps(rec, separators=(",", ":"), sort_keys=True)
 
 
+def reference_load_cache(path: str, key: tuple) -> tuple[dict | None, int]:
+    """load_cache's line loop as it was before the block scan: every line is
+    read and matched in Python.  Returns the record and the malformed count."""
+    n, s, q, mode = key
+    own = (mode, str(n), str(q), str(s))  # the key's _CACHE_HEAD groups
+    out: dict[tuple, dict] = {}
+    skipped = 0
+    try:
+        fh = open(path, "r", encoding="utf-8", errors="replace")
+    except FileNotFoundError:
+        return None, 0
+    with fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            head = S._CACHE_HEAD.match(line)
+            if head and head.groups() != own:
+                continue
+            try:
+                rec = json.loads(line)
+                if rec.get("engine_version") != S.ENGINE_VERSION:
+                    continue
+                k = rec["key"]
+                out[(k["n"], k["s"], k["q"], k["mode"])] = rec
+            except (ValueError, KeyError, TypeError, AttributeError, RecursionError):
+                skipped += 1
+    return out.get(key), skipped
+
+
+# keys that share fields, and whose spellings share prefixes ("n":1 and "n":13)
+SCAN_KEYS = [(3, 2, 4, "sum"), (3, 2, 4, "product"), (3, 2, 5, "sum"), (13, 2, 4, "sum"),
+             (1, 2, 4, "sum"), (3, 2, 44, "sum"), (4, 3, 4, "sum")]
+
+
+def random_cache_bytes(rng: random.Random) -> bytes:
+    """A cache file mixing every kind of line a lookup meets."""
+    lines = []
+    for value in range(rng.randrange(40)):
+        n, s, q, mode = rng.choice(SCAN_KEYS)
+        rec = S.cache_record(n, s, q, S.SearchOutcome(mode, value, None, True, {}))
+        line = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+        kind = rng.randrange(10)
+        if kind == 1:  # hand-formatted: spaces, and the key's fields in another order
+            rec["key"] = dict(rng.sample(sorted(rec["key"].items()), 4))
+            line = json.dumps(rec)
+        elif kind == 2:  # own and other heads after leading whitespace
+            line = rng.choice([" ", "\t", " \t "]) + line
+        elif kind == 3:  # blank or whitespace-only
+            line = rng.choice(["", " ", "\t \t", "\x0c"])
+        elif kind == 4:  # torn
+            line = line[: rng.randrange(1, len(line))]
+        elif kind == 5:
+            line = line.replace(f'"n":{n},', rng.choice([f'"n":0{n},', f'"n":{n}.0,']))
+        elif kind == 6:
+            line = line.replace(f'"engine_version":"{S.ENGINE_VERSION}"', '"engine_version":"0"')
+        data = line.encode()
+        if kind == 7:  # bytes that are not UTF-8
+            at = rng.randrange(len(data) + 1)
+            data = data[:at] + rng.choice([b"\xff", b"\xc3", b"\xfe\xff"]) + data[at:]
+        lines.append(data)
+    ends = [rng.choice([b"\n", b"\r\n", b"\r"]) for _ in lines]
+    if ends and rng.random() < 0.5:
+        ends[-1] = b""  # no final newline
+    return b"".join(line + end for line, end in zip(lines, ends))
+
+
 class TestCache:
     def test_round_trip_and_short_circuit(self, tmp_path):
         path = str(tmp_path / "cache.jsonl")
@@ -1299,3 +1367,39 @@ class TestCache:
         monkeypatch.setattr(S.json, "loads", lambda text, **kw: calls.append(text) or loads(text, **kw))
         assert S.load_cache(path, (3, 2, 4, "sum"))["value"] == str(out.value)
         assert len(calls) == 2
+
+    def test_append_after_torn_last_line_starts_a_new_line(self, tmp_path, recwarn):
+        path = str(tmp_path / "cache.jsonl")
+        rec = S.cache_record(3, 2, 5, S.max_sum_search(3, 2, 5))
+        line = json.dumps(rec, separators=(",", ":"), sort_keys=True)
+        torn = line[: len(line) // 2]
+        assert S._CACHE_HEAD.match(torn)  # (3,2,5)'s head is intact
+        with open(path, "w") as fh:
+            fh.write(torn)
+        out = S.max_sum_search(3, 2, 4)
+        S.append_cache(path, S.cache_record(3, 2, 4, out))
+        assert open(path).read().split("\n")[0] == torn
+        assert S.cached_outcome(path, 3, 2, 4, "sum") == out.witness
+        assert not [w for w in recwarn if issubclass(w.category, S.CacheWarning)]
+        with pytest.warns(S.CacheWarning, match="skipped 1 malformed"):
+            assert S.cached_outcome(path, 3, 2, 5, "sum") is None
+
+    @pytest.mark.parametrize("block", [None, 37])
+    def test_scan_matches_the_line_loop(self, tmp_path, monkeypatch, block):
+        # the block scan skips exactly the lines the old loop skipped: each
+        # lookup returns the same record and reports the same malformed count;
+        # a block of 37 characters cuts most lines
+        if block:
+            monkeypatch.setattr(S, "_CACHE_BLOCK", block)
+        path = str(tmp_path / "cache.jsonl")
+        rng = random.Random(2024)
+        for _ in range(150):
+            with open(path, "wb") as fh:
+                fh.write(random_cache_bytes(rng))
+            for key in SCAN_KEYS:
+                want, skipped = reference_load_cache(path, key)
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", S.CacheWarning)
+                    assert S.load_cache(path, key) == want
+                messages = [str(w.message) for w in caught]
+                assert messages == ([f"skipped {skipped} malformed line(s) in cache {path}"] if skipped else [])

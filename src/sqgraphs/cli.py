@@ -207,7 +207,7 @@ def _iterate_command(args) -> int:
     return EXIT_OK
 
 
-# the verify suites, in the order `verify all` runs them
+# the verify suites, in the order `verify all` reports them
 _SUITES = ("conjecture", "identities", "conditions", "counting", "transformations")
 
 
@@ -237,15 +237,34 @@ def _verify_command(args) -> int:
     )
     run = dict(zip(_SUITES, builders, strict=True))
     header = [False]
-    for suite in suites:
-        rows = run[suite]()
-        verify.write_reports(rows, os.path.join(args.out, f"verify_{suite}"))
-        for row in rows:
-            _emit(row.record(), args, header)
-        if verify.hard_failures(rows):
-            # a failed theorem-backed check aborts the remaining suites
-            return EXIT_HARD_FAIL
+    import multiprocessing  # here, not at the top: the import adds ~7 ms to every command
+
+    # the suites run side by side, up to one worker per CPU; fork hands each
+    # worker the builders, and only the rows are pickled back
+    workers = min(len(suites), os.cpu_count() or 1)
+    with multiprocessing.get_context("fork").Pool(workers, _adopt_builders, (run,)) as pool:
+        # longest first (cold-cache costs, 2-core host: transformations 280 ms, counting 207,
+        # identities 72, conditions 10, conjecture 4): two workers end `verify all` in ~293 ms, not 352
+        pending = {suite: pool.apply_async(_run_suite, (suite,)) for suite in reversed(suites)}
+        for suite in suites:
+            rows = pending[suite].get()  # re-raises the suite's exception
+            verify.write_reports(rows, os.path.join(args.out, f"verify_{suite}"))
+            for row in rows:
+                _emit(row.record(), args, header)
+            if verify.hard_failures(rows):
+                # a failed theorem-backed check aborts the remaining suites; leaving
+                # the block ends their workers and drops their rows
+                return EXIT_HARD_FAIL
     return EXIT_OK
+
+
+def _adopt_builders(builders: dict) -> None:  # pool initializer, run in each forked worker
+    global _builders
+    _builders = builders
+
+
+def _run_suite(suite: str) -> list[verify.CheckReport]:
+    return _builders[suite]()
 
 
 def _formulas_command(args) -> int:

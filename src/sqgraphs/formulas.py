@@ -54,6 +54,7 @@ def turan_number(n: int, k: int) -> int:
     return math.comb(n, 2) - internal
 
 
+@lru_cache(maxsize=None)  # BigReal is frozen, so callers may share a result
 def light_part_fraction(params: Params, dps: int = DEFAULT_DPS) -> BigReal:
     """Asymptotically product-optimal fraction of vertices in the light part.
 

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import pytest
@@ -447,6 +450,60 @@ class TestVerifyCommand:
             "verify_conjecture.csv", "verify_conjecture.txt",
             "verify_identities.csv", "verify_identities.txt",
         ]
+
+    @pytest.mark.parametrize("fmt", ["text", "csv"])
+    def test_all_equals_the_suites_run_one_at_a_time(self, capsys, tmp_path, fmt):
+        from sqgraphs.cli import _SUITES, EXIT_HARD_FAIL
+
+        flags = ("--n", "4", "--trials", "50", "--amax", "3", "--rmax", "3", "--format", fmt)
+        code, out, _ = run(capsys, "verify", "all", *flags, "--out", str(tmp_path / "all"))
+        assert code == EXIT_HARD_FAIL  # from the transformation suite's clone rows only
+        singles = []
+        for suite in _SUITES:
+            code, single, _ = run(capsys, "verify", suite, *flags, "--out", str(tmp_path / "one"))
+            assert code == (EXIT_HARD_FAIL if suite == "transformations" else EXIT_OK)
+            # each run prints the csv header; `verify all` prints it once
+            singles.append(single.split("\r\n", 1)[1] if fmt == "csv" and singles else single)
+        assert out == "".join(singles)
+        names = sorted(os.listdir(tmp_path / "all"))
+        assert len(names) == 10 and names == sorted(os.listdir(tmp_path / "one"))
+        for name in names:
+            assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+    @pytest.mark.parametrize("case", ["normal", "hard-failure", "error"])
+    def test_no_worker_outlives_the_command(self, capsys, tmp_path, monkeypatch, case):
+        from sqgraphs import verify
+        from sqgraphs.cli import EXIT_HARD_FAIL
+
+        def raising():
+            raise ValueError("no rows at this point")
+
+        if case == "hard-failure":
+            failed = verify.CheckReport("sum_difference_step", "a=2", verify.FAIL, "1", "2")
+            monkeypatch.setattr(verify, "identity_checks", lambda **kwargs: [failed])
+        elif case == "error":
+            monkeypatch.setattr(verify, "condition_checks", raising)
+        argv = ("verify", "all", "--n", "4", "--trials", "50", "--amax", "3", "--rmax", "3", "--out", str(tmp_path))
+        code, _, err = run(capsys, *argv)
+        assert multiprocessing.active_children() == []
+        if case == "error":
+            # the suites before it are reported, as when the suites ran in turn
+            assert (code, err) == (EXIT_USAGE, "error: no rows at this point\n")
+            assert sorted(os.listdir(tmp_path)) == [
+                "verify_conjecture.csv", "verify_conjecture.txt",
+                "verify_identities.csv", "verify_identities.txt",
+            ]
+        else:
+            assert code == EXIT_HARD_FAIL
+
+    def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
+        # `verify` imports it where it builds the pool, so no other command pays for it
+        import sqgraphs
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sqgraphs.__file__)))
+        probe = "import sys, sqgraphs.cli; print('multiprocessing' in sys.modules)"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout == "False\n"
 
 
 class TestRangeArguments:

@@ -237,24 +237,33 @@ def _verify_command(args) -> int:
     )
     run = dict(zip(_SUITES, builders, strict=True))
     header = [False]
-    import multiprocessing  # here, not at the top: the import adds ~7 ms to every command
+    import multiprocessing  # here, not at the top: the imports add ~7 ms to every command
+    from concurrent.futures import ProcessPoolExecutor
 
     # the suites run side by side, up to one worker per CPU; fork hands each
     # worker the builders, and only the rows are pickled back
     workers = min(len(suites), os.cpu_count() or 1)
-    with multiprocessing.get_context("fork").Pool(workers, _adopt_builders, (run,)) as pool:
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"), _adopt_builders, (run,))
+    try:
         # longest first (cold-cache costs, 2-core host: transformations 280 ms, counting 207,
         # identities 72, conditions 10, conjecture 4): two workers end `verify all` in ~293 ms, not 352
-        pending = {suite: pool.apply_async(_run_suite, (suite,)) for suite in reversed(suites)}
+        pending = {suite: pool.submit(_run_suite, suite) for suite in reversed(suites)}
         for suite in suites:
-            rows = pending[suite].get()  # re-raises the suite's exception
+            # re-raises the suite's exception, or BrokenProcessPool once a worker has died
+            rows = pending[suite].result()
             verify.write_reports(rows, os.path.join(args.out, f"verify_{suite}"))
             for row in rows:
                 _emit(row.record(), args, header)
             if verify.hard_failures(rows):
-                # a failed theorem-backed check aborts the remaining suites; leaving
-                # the block ends their workers and drops their rows
+                # a failed theorem-backed check aborts the remaining suites,
+                # whose rows are dropped
                 return EXIT_HARD_FAIL
+    finally:
+        # end the workers of suites still running (what Python 3.14's
+        # terminate_workers does); the pool then joins them
+        for proc in list(pool._processes.values()):
+            proc.terminate()
+        pool.shutdown()
     return EXIT_OK
 
 

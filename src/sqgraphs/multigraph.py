@@ -28,8 +28,8 @@ def pair_rank(i: int, j: int) -> int:
     return j * (j - 1) // 2 + i
 
 
-# The most cells, C(n,s) * C(n,2), of a table over the s-sets of n vertices (here
-# and in search._depth_tables, at 56-163 bytes a cell); expi 17 4 15 has 323,680.
+# The most cells, C(n,s) * C(n,2), of a table over the s-sets of n vertices (_s_sets here, full search._depth_tables,
+# 56-163 bytes a cell); an extension's row tables have C(n-1,s-1) * (n-1): expi 17 4 15 checks 323,680, builds 8,960.
 MAX_TABLE_CELLS = 5_000_000
 
 

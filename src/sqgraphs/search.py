@@ -198,21 +198,25 @@ def _canonical_form(W: Sequence[int], m: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _depth_tables(n: int, s: int) -> tuple[tuple, tuple]:
+def _depth_tables(n: int, s: int, row: bool) -> tuple[tuple, tuple]:
     """Per depth k of the rank-order search, with X indexing the s-sets
     combinations(range(n), s) in order: open_sets[k] holds (X, getter of X's
     pairs >= k) for each X with >= 2 of them; later[k] holds (X, X's pairs > k)
     for each X on pair k.  X's pairs >= k are prs[i:] for every k with
-    prs[i-1] < k <= prs[i], so each X is walked once, in ascending order."""
+    prs[i-1] < k <= prs[i], so each X is walked once, in ascending order.
+    The row form, an extension's (see _tree_search), has X index only the
+    s-sets through n-1 and prs hold only their s-1 pairs to n-1, so its
+    tables are empty below depth C(n-1,2) and equal the full ones from it on."""
     P = n * (n - 1) // 2
+    K = P - (n - 1) if row else 0
     open_sets, later = [[] for _ in range(P)], [[] for _ in range(P)]
-    for X, Y in enumerate(combinations(range(n), s)):
-        prs = sorted(pair_rank(u, v) for u, v in combinations(Y, 2))
+    for X, Y in enumerate(combinations(range(n - 1), s - 1) if row else combinations(range(n), s)):
+        prs = [K + u for u in Y] if row else sorted(pair_rank(u, v) for u, v in combinations(Y, 2))
         for i, e in enumerate(prs):
             later[e].append((X, tuple(prs[i + 1 :])))
             if len(prs) - i >= 2:
                 get = itemgetter(*prs[i:])
-                for k in range(prs[i - 1] + 1 if i else 0, e + 1):
+                for k in range(prs[i - 1] + 1 if i else K, e + 1):
                     open_sets[k].append((X, get))
     return tuple(map(tuple, open_sets)), tuple(map(tuple, later))
 
@@ -286,13 +290,12 @@ def _tree_search(
     stats["levels"]["two_weight"] under a cap (see _two_weight_seed).
     """
     P = n * (n - 1) // 2
-    spairs = s * (s - 1) // 2
     wlo = 1 if product else 0
     levels = stats.setdefault("levels", {})
     level = n if cap is None else "two_weight"
     levels.setdefault(level, 0)
 
-    open_sets, later = _depth_tables(n, s)
+    open_sets, later = _depth_tables(n, s, bool(prefix))
     per_pair = comb(n - 2, s - 2)
     R = _rank_table(n)
     block = {} if prefix else {pair_rank(j - 1, j): j for j in range(2, n)}  # pair k completes {0..j}
@@ -306,28 +309,18 @@ def _tree_search(
     # wlo on its later pairs, which the child's ub takes as a new minimum; so
     # ub >= wlo, and in product mode acc >= 1 and every am[X] >= 1.  Each
     # child gets its own rem, am and ub, so nothing is undone on the way back.
-    def step(k: int, w: int, ub: list[int], rem: list[int], am: list[int]) -> tuple:
-        child, crem = ub[:], rem[:]
-        cam = am[:] if product else am
-        new = 1
-        for X, prs in later[k]:
-            r = crem[X] = rem[X] - w
-            if product:
-                cam[X] = a = _amgm(r, len(prs))
-                new *= a
-            slack = r - (len(prs) - 1) * wlo
-            for e in prs:
-                if slack < child[e]:
-                    child[e] = slack
-        return child, crem, cam, new
-
+    # The search starts at depth K, where X has opn open pairs, all C(s,2) in a direct
+    # search and its s-1 pairs to n-1 in an extension: rem[X] = q - sum_H(X - {n-1}), and ub
+    # below K is never read.  Setting H's pairs in turn reaches the same state: a pair of
+    # weight w >= wlo lowers an s-set's slack by w - wlo, so X's last slack in H is its
+    # least, and each s-set inside H is closed, adding _amgm(rem, 0) = 1 to the Katona product.
     K = len(prefix)
     W = list(prefix) + [0] * (P - K)
-    S = comb(n, s)
-    top = q - (spairs - 1) * wlo
-    state = [top if cap is None else min(cap, top)] * P, [q] * S, [_amgm(q, spairs)] * S
-    for k in range(K):  # the prefix's pairs, set as dfs sets them
-        state = step(k, W[k], *state)[:3]
+    opn = s - 1 if prefix else s * (s - 1) // 2
+    sets = combinations(range(n - 1), s - 1) if prefix else combinations(range(n), s)  # X - {n-1}, or X
+    rem = [q - sum(W[R[u][v]] for u, v in combinations(Y, 2)) for Y in sets]
+    am = [_amgm(r, opn) for r in rem]
+    ub = [min([inf if cap is None else cap, *(rem[X] - (opn - 1) * wlo for X, _ in later[e])]) for e in range(P)]
     floor = least() - 1
 
     def prune_by_bound(k: int, acc: int, katona: int, ub: list[int], rem: list[int], am: list[int]) -> bool:
@@ -382,13 +375,20 @@ def _tree_search(
             if j and not _lex_leader(W, j, R):
                 stats["symmetry_prunes"] += 1
                 continue
-            child, crem, cam, new = step(k, w, ub, rem, am)
-            if product:
-                dfs(k + 1, acc * w, katona // old * new, child, crem, cam)
-            else:
-                dfs(k + 1, acc + w, katona, child, crem, cam)
+            child, crem = ub[:], rem[:]
+            cam, new = am[:] if product else am, 1
+            for X, prs in later[k]:
+                r = crem[X] = rem[X] - w
+                if product:
+                    cam[X] = a = _amgm(r, len(prs))
+                    new *= a
+                slack = r - (len(prs) - 1) * wlo
+                for e in prs:
+                    if slack < child[e]:
+                        child[e] = slack
+            dfs(k + 1, acc * w if product else acc + w, katona // old * new if product else katona, child, crem, cam)
 
-    dfs(K, prod(prefix) if product else sum(prefix), prod(state[2]), *state)
+    dfs(K, prod(prefix) if product else sum(prefix), prod(am), ub, rem, am)
 
 
 def _collect(
@@ -544,7 +544,7 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     """
     _validate(n, s, q)
     P = n * (n - 1) // 2
-    later = _depth_tables(n, s)[1]
+    later = _depth_tables(n, s, False)[1]
     nodes = 0
 
     def charge(size: int) -> None:
@@ -556,7 +556,7 @@ def count_graphs(n: int, s: int, q: int, node_budget: int = DEFAULT_NODE_BUDGET)
     # rem[X] is one more than what s-set X may still add, so choices[e], the
     # least rem over the s-sets on e, is the number of weights pair e may
     # take; both are carried by value and lowered on later[k] as in
-    # _tree_search's step.  At s = 2 each s-set is one pair, so the pairs
+    # _tree_search's dfs.  At s = 2 each s-set is one pair, so the pairs
     # are independent and the root counts all (q+1)**P graphs as one node.
     if s == 2:
         charge(1)

@@ -496,6 +496,36 @@ class TestVerifyCommand:
         else:
             assert code == EXIT_HARD_FAIL
 
+    def test_a_killed_worker_fails_the_command(self, tmp_path):
+        # a worker killed by a signal (as by the kernel's OOM killer) fails the
+        # command at once, with the reason on stderr, and the other worker is
+        # ended.  Run in a fresh interpreter with two workers, under a timeout:
+        # a hang would run into it, and so would a worker left running, which
+        # holds the captured pipes open
+        import sqgraphs
+
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sqgraphs.__file__)))
+        probe = (
+            "import os, signal, sys\n"
+            "from sqgraphs import cli, verify\n"
+            "parent = os.getpid()\n"
+            "def killed(**kwargs):\n"
+            "    assert os.getpid() != parent, 'the suite ran in the parent'\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+            "os.cpu_count = lambda: 2\n"
+            "verify.transformation_checks = killed\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n"
+        )
+        argv = ("verify", "all", "--n", "4", "--trials", "50", "--amax", "3", "--rmax", "3", "--out", str(tmp_path))
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        # transformations goes first, and counting holds the other worker, so
+        # no suite's rows come back
+        assert proc.returncode == 1
+        assert "BrokenProcessPool" in proc.stderr and "terminated abruptly" in proc.stderr
+        assert proc.stdout == "" and os.listdir(tmp_path) == []
+
     def test_importing_the_cli_leaves_multiprocessing_unloaded(self):
         # `verify` imports it where it builds the pool, so no other command pays for it
         import sqgraphs

@@ -214,31 +214,39 @@ class TestSeeds:
 
 class TestDepthTables:
     def test_tables_follow_their_definition(self):
-        # X indexes combinations(range(n), s) in order; each getter, applied
-        # to the list of pair ranks, reads back the pairs it selects
+        # X indexes combinations(range(n), s) in order, or in the row form only
+        # the s-sets through n-1, each with only its pairs to n-1 (the ranks
+        # from K = C(n-1,2) on), and then nothing below depth K; each getter,
+        # applied to the list of pair ranks, reads back the pairs it selects
         for n in range(2, 9):
             ranks = list(range(n * (n - 1) // 2))
             for s in range(2, n + 1):
-                ssets = [
-                    sorted(pair_rank(u, v) for u, v in combinations(X, 2))
-                    for X in combinations(range(n), s)
-                ]
-                open_sets, later = S._depth_tables(n, s)
-                assert len(open_sets) == len(later) == len(ranks)
-                for k in ranks:
-                    assert later[k] == tuple(
-                        (X, tuple(e for e in prs if e > k))
-                        for X, prs in enumerate(ssets)
-                        if k in prs
-                    ), (n, s, k)
-                    tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
-                    assert [(X, get(ranks)) for X, get in open_sets[k]] == [
-                        (X, tail) for X, tail in tails if len(tail) >= 2
-                    ], (n, s, k)
+                for row in (False, True):
+                    K = math.comb(n - 1, 2) if row else 0
+                    ssets = [
+                        [e for e in sorted(pair_rank(u, v) for u, v in combinations(X, 2)) if e >= K]
+                        for X in combinations(range(n), s)
+                        if not row or n - 1 in X
+                    ]
+                    open_sets, later = S._depth_tables(n, s, row)
+                    assert len(open_sets) == len(later) == len(ranks)
+                    assert not any(open_sets[:K]) and not any(later[:K]), (n, s)
+                    for k in ranks[K:]:
+                        assert later[k] == tuple(
+                            (X, tuple(e for e in prs if e > k))
+                            for X, prs in enumerate(ssets)
+                            if k in prs
+                        ), (n, s, row, k)
+                        tails = [(X, tuple(e for e in prs if e >= k)) for X, prs in enumerate(ssets)]
+                        assert [(X, get(ranks)) for X, get in open_sets[k]] == [
+                            (X, tail) for X, tail in tails if len(tail) >= 2
+                        ], (n, s, row, k)
 
     def test_tables_equal_the_per_depth_construction(self):
         # reference: scan every s-set's pairs again at each depth k; the
-        # per-s-set build must give the same tables, with X in the same order
+        # per-s-set build must give the same tables, with X in the same order.
+        # The row form holds nothing below depth K = C(n-1,2), and from K on
+        # equals the full tables re-indexed to the s-sets through n-1
         def per_depth(n, s):
             ssets = [
                 sorted(pair_rank(u, v) for u, v in combinations(X, 2))
@@ -258,10 +266,20 @@ class TestDepthTables:
             vec = [rng.randrange(10**6) for _ in range(n * (n - 1) // 2)]
             for s in range(2, n + 1):
                 want_open, want_later = per_depth(n, s)
-                open_sets, later = S._depth_tables(n, s)
+                open_sets, later = S._depth_tables(n, s, False)
                 assert later == want_later, (n, s)
                 assert [[(X, get(vec)) for X, get in row] for row in open_sets] == [
                     [(X, get(vec)) for X, get in row] for row in want_open
+                ], (n, s)
+                K = math.comb(n - 1, 2)
+                through = [X for X, Y in enumerate(combinations(range(n), s)) if n - 1 in Y]
+                index = {X: i for i, X in enumerate(through)}
+                row_open, row_later = S._depth_tables(n, s, True)
+                assert len(row_open) == len(row_later) == len(later)
+                assert not any(row_open[:K]) and not any(row_later[:K]), (n, s)
+                assert row_later[K:] == tuple(tuple((index[X], prs) for X, prs in row) for row in later[K:]), (n, s)
+                assert [[(X, get(vec)) for X, get in row] for row in row_open[K:]] == [
+                    [(index[X], get(vec)) for X, get in row] for row in open_sets[K:]
                 ], (n, s)
 
 
@@ -390,6 +408,8 @@ EXACT_RUNGS = {
         11: 75_814_101_413_145_870_336,
         12: 524_027_068_967_664_255_762_432,
         13: 10_314_424_798_490_535_546_171_949_056,
+        17: 3_127_915_390_764_112_479_316_656_145_521_574_647_402_294_411_264,
+        20: 29_642_511_830_891_277_142_110_270_792_590_257_472_493_870_311_689_709_966_121_750_233_088,
     },
     (4, 21): {6: 95_551_488, 7: 123_834_728_448, 11: 51_513_956_987_797_266_998_470_115_328},
     (6, 41): {
@@ -527,6 +547,51 @@ class TestClimb:
                                 m, s, q, product, budget, st, lambda: T, leaf, cap), product, cap)
                             assert climbed == direct, (product, cap, m, s, q, T)
 
+    def test_extension_hands_over_exactly_the_feasible_rows(self):
+        # _tree_search from a prefix H, a random (s,q)-graph on 0..n-2, at a
+        # fixed least() = T hands over, once each, exactly the rows of vertex
+        # n-1 that make an (s,q)-graph of value >= T: on products and sums,
+        # with and without cap 1, for 3 <= n <= 6 and 2 <= s <= n (224 cases).
+        # The brute force tries every row with weights in wlo..top: a pair
+        # lies in an s-set whose other C(s,2)-1 pairs weigh >= wlo (products
+        # with a 0 weight are 0 < T), so no heavier weight is feasible
+        rng = random.Random(21)
+        cases = 0
+        for n in range(3, 7):
+            K = math.comb(n - 1, 2)
+            for s in range(2, n + 1):
+                spairs = s * (s - 1) // 2
+                for is_product, cap in ((True, None), (False, None), (True, 1), (False, 1)):
+                    wlo = 1 if is_product else 0
+                    for _ in range(4):
+                        # at most about 1,300 rows uncapped
+                        q = spairs * wlo + rng.randrange(int(1300 ** (1 / (n - 1))))
+                        top = q - (spairs - 1) * wlo if cap is None else min(cap, q - (spairs - 1) * wlo)
+                        H = [wlo] * K
+                        for e in rng.sample(range(K), K):  # each pair as heavy as H stays feasible
+                            H[e] = rng.randint(wlo, max(wlo, top))
+                            while s < n and not Multigraph(n - 1, H).satisfies(s, q):
+                                H[e] -= 1
+                        value = math.prod if is_product else sum
+                        feasible = {
+                            row: value(H + list(row))
+                            for row in product(range(wlo, top + 1), repeat=n - 1)
+                            if Multigraph(n, H + list(row)).satisfies(s, q)
+                        }
+                        T = rng.choice([*feasible.values(), max(feasible.values(), default=wlo) + 1])
+                        got = []
+
+                        def leaf(v, W):
+                            assert W[:K] == H and v == value(W)
+                            got.append(tuple(W[K:]))
+
+                        stats = {"nodes": 0, "bound_prunes": 0, "symmetry_prunes": 0}
+                        S._tree_search(n, s, q, is_product, S.DEFAULT_NODE_BUDGET, stats, lambda: T, leaf, H, cap)
+                        want = sorted(row for row, v in feasible.items() if v >= T)
+                        assert sorted(got) == want, (n, s, q, is_product, cap, H, T)
+                        cases += 1
+        assert cases == 224
+
     def test_ties_hand_over_every_optimum(self):
         # at least() = ex(7,6,41) the collect from 7 vertices hands over every
         # optimum, some in several labelings: the six classes that the direct
@@ -613,6 +678,8 @@ class TestClimb:
             (11, 4, 15, 1_852, 1),
             (12, 4, 15, 4_000, 1),
             (13, 4, 15, 4_351, 1),
+            pytest.param(17, 4, 15, 9_433, 1, marks=pytest.mark.slow),
+            pytest.param(20, 4, 15, 20_201, 1, marks=pytest.mark.slow),
             (11, 4, 21, 3_656, 1),
             pytest.param(10, 6, 41, 164_021, 1, marks=pytest.mark.slow),
             pytest.param(11, 6, 41, 323_657, 1, marks=pytest.mark.slow),
@@ -719,7 +786,7 @@ class TestCounting:
     def one_call_per_node(n, s, q):
         """count_graphs' recursion with no leaf counted in place: one dfs
         call per tree node, leaves included.  Returns (count, nodes)."""
-        open_sets, later = S._depth_tables(n, s)
+        open_sets, later = S._depth_tables(n, s, False)
         nodes = 0
 
         def dfs(k, choices, rem):
